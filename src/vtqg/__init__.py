@@ -33,7 +33,7 @@ from .harness import (
     report_summary,
     run_experiment,
 )
-from .noise import NoiseModel, depolarize, noise_for_gate
+from .noise import NoiseModel, depolarize
 from .qpd import (
     CutSite,
     GroupedInstrument,
@@ -51,11 +51,9 @@ from .qpd import (
 )
 from .sim import (
     DensityMatrix,
-    FragmentOp,
     PauliObservable,
     ShotOutcome,
     StateVector,
-    apply_fragment_operator,
     expectation,
     run_density,
     run_statevector,

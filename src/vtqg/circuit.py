@@ -6,7 +6,7 @@ Angle conventions, fixed across the package:
     RZZ(a) = exp(-i a Z(x)Z/2)      RZX(a) = exp(-i a Z(x)X/2)
 
 Global phase is never tracked; unitary equality always means "up to global
-phase" and is checked via the normalized trace overlap |Tr(U^dag V)| / 2^n.
+phase".
 
 Circuits, coupling maps and layouts are immutable after construction and may
 be shared freely across threads.
@@ -179,9 +179,6 @@ class Circuit:
                     raise InvalidCircuitError(
                         f"classical control on bit {g.clbit} with no earlier measurement writing it"
                     )
-
-    def extended(self, more: list[Gate] | tuple[Gate, ...]) -> "Circuit":
-        return Circuit(self.n_qubits, self.n_clbits, self.gates + tuple(more))
 
     def with_inserted(self, position: int, gates: list[Gate], n_clbits: int | None = None) -> "Circuit":
         """New circuit with `gates` spliced in before index `position`."""
@@ -399,6 +396,8 @@ def gate_to_line(g: Gate) -> str:
 
 def gate_from_line(line: str) -> Gate:
     tokens = line.split()
+    if len(tokens) < 2 or (tokens[0] == "IF" and len(tokens) < 3):
+        raise ValueError(f"malformed gate line: {line!r}")
     if tokens[0] == "IF":
         inner = gate_from_line(" ".join(tokens[2:]))
         return classically_controlled(inner, int(tokens[1]))
@@ -433,6 +432,8 @@ def circuit_from_text(text: str) -> Circuit:
     start = 0
     head = lines[0].split()
     if head[0] == "qubits":
+        if len(head) != 4 or head[2] != "clbits":
+            raise ValueError(f"malformed header line: {lines[0]!r}; expected 'qubits N clbits M'")
         n_qubits, n_clbits = int(head[1]), int(head[3])
         start = 1
     gates = [gate_from_line(ln) for ln in lines[start:]]

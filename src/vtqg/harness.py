@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -55,6 +56,9 @@ class ExperimentConfig:
     sampling_strategy: str = "grouped"
 
     def __post_init__(self):
+        for name in ("shots", "repetitions"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         object.__setattr__(self, "variants", tuple(self.variants))
         if not self.variants or any(v not in RUN_VARIANTS for v in self.variants):
             raise ValueError(f"variants must be a non-empty subset of {RUN_VARIANTS}")
@@ -235,6 +239,9 @@ def read_results(path) -> list[ResultRecord]:
         rows = list(csv.DictReader(text.splitlines()))
     records = []
     for row in rows:
+        missing = [c for c in CSV_COLUMNS if c not in row]
+        if missing:
+            raise ValueError(f"{path}: results are missing columns {missing}")
         records.append(ResultRecord(
             variant=str(row["variant"]),
             n_qubits=int(row["n_qubits"]),

@@ -75,11 +75,6 @@ class NoiseModel:
         return cls(**obj)
 
 
-def noise_for_gate(model: NoiseModel, gate: Gate) -> float:
-    """Strength the model assigns to one gate (see NoiseModel.strength_for)."""
-    return model.strength_for(gate)
-
-
 def depolarize(state: DensityMatrix, qubits: tuple[int, ...] | list[int], p: float) -> DensityMatrix:
     """rho -> (1-p) rho + p (maximally mixed on `qubits` (x) marginal on the rest)."""
     if not (isinstance(p, (int, float)) and math.isfinite(p) and 0.0 <= p <= 1.0):

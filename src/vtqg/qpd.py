@@ -15,6 +15,10 @@ each applied as A rho A^dag.  The projector side is realizable as a Z-basis
 measurement, the rotation side as Rz(-a pi/2) (times sqrt(2)).  Collapsing
 each sign quadruple into a signed measurement instrument leaves six executable
 fragments per cut, with quasi-probability 1-norm gamma = 1 + 2|sin(theta)|.
+
+One term table (`_SIDES`) gives each local operator both as a Z-diagonal and
+as gates.  Exact evaluation uses the diagonals and linearity: the weighted sum
+over all 10^m term combinations of m cuts is one channel per cut.
 """
 
 from __future__ import annotations
@@ -23,22 +27,13 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .circuit import Circuit, Gate, GateKind, circuit_to_text, measure_z, reset, rz, x
 from .errors import PreconditionError
-from .sim import (
-    DensityMatrix,
-    FragmentOp,
-    FragmentOpKind,
-    PauliObservable,
-    apply_fragment_operator,
-    apply_gates_density,
-    expectation,
-    identity_op,
-    pauli_z_op,
-    proj_plus,
-    rot_i_plus_iz,
-)
+from .sim import DensityMatrix, PauliObservable, apply_gates_density, expectation
 
 FAMILY_II = "II"
 FAMILY_ZZ = "ZZ"
@@ -50,6 +45,31 @@ FAMILY_ROT_PROJ = "ROT_PROJ"
 CROSS_TERM_SCALE = 8.0
 
 
+class _Side(NamedTuple):
+    """A local operator A, applied as rho -> A rho A^dag."""
+
+    diagonal: Callable  # alpha -> Z-diagonal of A
+    realize: Callable  # (qubit, alpha, clbit) -> (gates giving A up to a trace scale, that scale, keep rule)
+
+
+# RZ(pi) conjugates like Pauli Z (its phases cancel in A rho A^dag).
+_SIDES = {
+    "IDENTITY": _Side(lambda a: (1, 1), lambda q, a, k: ([], 1.0, None)),
+    "PAULI_Z": _Side(lambda a: (1, -1), lambda q, a, k: ([rz(math.pi, q)], 1.0, None)),
+    "PROJ_PLUS": _Side(lambda a: (1 + a, 1 - a),
+                       lambda q, a, k: ([measure_z(q, k)], 4.0, (k, 0 if a == 1 else 1))),
+    "ROT_I_PLUS_IZ": _Side(lambda a: (1 + 1j * a, 1 - 1j * a),
+                           lambda q, a, k: ([rz(-a * math.pi / 2, q)], 2.0, None)),
+}
+_FAMILY_SIDES = {
+    FAMILY_II: ("IDENTITY", "IDENTITY"),
+    FAMILY_ZZ: ("PAULI_Z", "PAULI_Z"),
+    FAMILY_PROJ_ROT: ("PROJ_PLUS", "ROT_I_PLUS_IZ"),
+    FAMILY_ROT_PROJ: ("ROT_I_PLUS_IZ", "PROJ_PLUS"),
+}
+_CROSS_FAMILIES = (FAMILY_PROJ_ROT, FAMILY_ROT_PROJ)
+
+
 def decomposition_angle(gate_angle: float) -> float:
     """Map a circuit RZZ gate angle onto the decomposed conjugation angle."""
     return -gate_angle
@@ -57,14 +77,26 @@ def decomposition_angle(gate_angle: float) -> float:
 
 @dataclass(frozen=True)
 class QpdTerm:
-    """One of the ten decomposition terms: a coefficient and two local operators."""
+    """One of the ten decomposition terms: coefficient, family, and the cross terms' signs."""
 
     coefficient: float
     family: str
-    op_a: FragmentOp
-    op_b: FragmentOp
     alpha_a: int | None = None
     alpha_b: int | None = None
+
+    def __post_init__(self):
+        if self.family not in _FAMILY_SIDES:
+            raise ValueError(f"unknown term family {self.family!r}")
+        for alpha in (self.alpha_a, self.alpha_b):
+            if self.family in _CROSS_FAMILIES and alpha not in (1, -1):
+                raise ValueError(f"{self.family} needs alpha in {{+1,-1}}, got {alpha!r}")
+            if self.family not in _CROSS_FAMILIES and alpha is not None:
+                raise ValueError(f"{self.family} takes no alpha")
+
+    def sides(self) -> tuple[tuple[str, int | None], tuple[str, int | None]]:
+        """(side name, alpha) of the operator on qubit a, then on qubit b."""
+        side_a, side_b = _FAMILY_SIDES[self.family]
+        return (side_a, self.alpha_a), (side_b, self.alpha_b)
 
 
 def decompose_vrzz(theta: float) -> list[QpdTerm]:
@@ -78,28 +110,37 @@ def decompose_vrzz(theta: float) -> list[QpdTerm]:
     c, s = math.cos(theta / 2), math.sin(theta / 2)
     # 1 - c*c rather than s*s keeps the two diagonal coefficients summing to
     # 1.0 exactly in floating point (difference from s*s is at most one ulp)
-    terms = [
-        QpdTerm(c * c, FAMILY_II, identity_op(), identity_op()),
-        QpdTerm(1.0 - c * c, FAMILY_ZZ, pauli_z_op(), pauli_z_op()),
-    ]
+    terms = [QpdTerm(c * c, FAMILY_II), QpdTerm(1.0 - c * c, FAMILY_ZZ)]
     for aa, ab in itertools.product((1, -1), repeat=2):
         k = 0.125 * c * s * aa * ab
-        terms.append(QpdTerm(k, FAMILY_PROJ_ROT, proj_plus(aa), rot_i_plus_iz(ab), aa, ab))
-        terms.append(QpdTerm(k, FAMILY_ROT_PROJ, rot_i_plus_iz(aa), proj_plus(ab), aa, ab))
+        terms.append(QpdTerm(k, FAMILY_PROJ_ROT, aa, ab))
+        terms.append(QpdTerm(k, FAMILY_ROT_PROJ, aa, ab))
     return terms
+
+
+def _apply_cut(rho: DensityMatrix, qubit_a: int, qubit_b: int, weighted_terms) -> DensityMatrix:
+    """rho -> sum_k w_k A_k rho A_k^dag over (w_k, term_k) pairs, on qubits (a, b).
+
+    Each A_k = diag(d_a) (x) diag(d_b) is Z-diagonal, so the sum scales entry
+    rho[(i_a, i_b), (j_a, j_b)] by one factor, sum_k w_k d_k[i_a, i_b] conj(d_k[j_a, j_b]).
+    """
+    factor = np.zeros((2, 2, 2, 2), dtype=complex)  # axes (i_a, i_b, j_a, j_b)
+    for weight, term in weighted_terms:
+        (side_a, alpha_a), (side_b, alpha_b) = term.sides()
+        d = np.outer(_SIDES[side_a].diagonal(alpha_a), _SIDES[side_b].diagonal(alpha_b))
+        factor += weight * d[:, :, None, None] * d.conj()[None, None, :, :]
+    n = rho.n_qubits
+    axes = (qubit_a, qubit_b, n + qubit_a, n + qubit_b)
+    shape = [2 if ax in axes else 1 for ax in range(2 * n)]
+    t = rho.tensor() * factor.transpose(np.argsort(axes)).reshape(shape)
+    return DensityMatrix(n, t.reshape(rho.mat.shape))
 
 
 def reconstruct_channel(terms: list[QpdTerm], rho: DensityMatrix) -> DensityMatrix:
     """Weighted sum of all terms applied to a two-qubit state."""
     if rho.n_qubits != 2:
         raise ValueError(f"reconstruction is defined on 2-qubit states, got {rho.n_qubits}")
-    total = None
-    for t in terms:
-        frag = apply_fragment_operator(rho, 0, t.op_a)
-        frag = apply_fragment_operator(frag, 1, t.op_b)
-        contrib = t.coefficient * frag.mat
-        total = contrib if total is None else total + contrib
-    return DensityMatrix(2, total)
+    return _apply_cut(rho, 0, 1, [(t.coefficient, t) for t in terms])
 
 
 def gamma(theta: float, *, self_check: bool = False) -> float:
@@ -223,7 +264,7 @@ def simplify_projected(term: QpdTerm, beta: float, *, product_form_asserted: boo
     single-qubit product RX(2 beta)|0>; the caller must assert that, we have
     no way to check it from here.
     """
-    if term.family not in (FAMILY_PROJ_ROT, FAMILY_ROT_PROJ):
+    if term.family not in _CROSS_FAMILIES:
         raise ValueError(f"only projective cross terms simplify, got {term.family}")
     if not product_form_asserted:
         raise PreconditionError(
@@ -276,39 +317,29 @@ def _check_cuts(circuit: Circuit, cuts) -> list[CutSite]:
     return cuts
 
 
+def _run_through_cuts(circuit: Circuit, cuts: list[CutSite], weighted_terms, noise) -> DensityMatrix:
+    """Evolve |0...0> segment by segment, applying the (weight, term) pairs of weighted_terms[i] at cut i."""
+    rho = DensityMatrix.zero(circuit.n_qubits)
+    start = 0
+    for cut, pairs in zip(cuts, weighted_terms):
+        rho = apply_gates_density(rho, circuit.gates[start:cut.position], noise)
+        rho = _apply_cut(rho, cut.qubit_a, cut.qubit_b, pairs)
+        start = cut.position
+    return apply_gates_density(rho, circuit.gates[start:], noise)
+
+
 def run_enumerated_exact(circuit: Circuit, cuts, observables: list[PauliObservable],
                          noise=None) -> tuple[list[float], int]:
-    """Evaluate observables by enumerating every term combination exactly.
+    """Exact coefficient-weighted sum of the observables over all 10^m term combinations.
 
-    Each of the 10^m fragments runs through the density-matrix simulator with
-    its local operators applied in place of the virtual gates; results are the
-    coefficient-weighted sums, reduced in a fixed depth-first order.  Shared
-    circuit prefixes are evolved once.
+    By linearity the sum is one channel per cut, so each segment between cuts
+    is evolved once (m + 1 density runs).  Returns the values and the number
+    of term combinations the sum covers, 10^m.
     """
     cuts = _check_cuts(circuit, cuts)
-    m = len(cuts)
     term_lists = [decompose_vrzz(c.theta) for c in cuts]
-    positions = [c.position for c in cuts] + [len(circuit.gates)]
-    segments = [circuit.gates[0 if i == 0 else positions[i - 1]: positions[i]] for i in range(m + 1)]
-    values = [0.0] * len(observables)
-    count = 0
-
-    def descend(rho: DensityMatrix, depth: int, coeff: float):
-        nonlocal count
-        rho = apply_gates_density(rho, segments[depth], noise)
-        if depth == m:
-            for j, obs in enumerate(observables):
-                values[j] += coeff * expectation(rho, obs)
-            count += 1
-            return
-        cut = cuts[depth]
-        for term in term_lists[depth]:
-            frag = apply_fragment_operator(rho, cut.qubit_a, term.op_a)
-            frag = apply_fragment_operator(frag, cut.qubit_b, term.op_b)
-            descend(frag, depth + 1, coeff * term.coefficient)
-
-    descend(DensityMatrix.zero(circuit.n_qubits), 0, 1.0)
-    return values, count
+    rho = _run_through_cuts(circuit, cuts, [[(t.coefficient, t) for t in ts] for ts in term_lists], noise)
+    return [expectation(rho, obs) for obs in observables], math.prod(len(ts) for ts in term_lists)
 
 
 @dataclass(frozen=True)
@@ -371,18 +402,12 @@ def build_enumerated_fragments(circuit: Circuit, cuts) -> list[SampledFragment]:
         labels = []
         for k, (cut, term) in enumerate(zip(cuts, combo)):
             gates, scale = [], 1.0
-            for qubit, op in ((cut.qubit_a, term.op_a), (cut.qubit_b, term.op_b)):
-                if op.kind == FragmentOpKind.IDENTITY:
-                    continue
-                if op.kind == FragmentOpKind.PAULI_Z:
-                    gates.append(rz(math.pi, qubit))
-                elif op.kind == FragmentOpKind.ROT_I_PLUS_IZ:
-                    gates.append(rz(-op.alpha * math.pi / 2, qubit))
-                    scale *= 2.0
-                else:
-                    gates.append(measure_z(qubit, k))
-                    keeps.append((k, 0 if op.alpha == 1 else 1))
-                    scale *= 4.0
+            for qubit, (side, alpha) in zip((cut.qubit_a, cut.qubit_b), term.sides()):
+                side_gates, side_scale, keep = _SIDES[side].realize(qubit, alpha, k)
+                gates += side_gates
+                scale *= side_scale
+                if keep is not None:
+                    keeps.append(keep)
             weight *= term.coefficient * scale
             per_cut.append(gates)
             labels.append(f"{term.family}[{op_pair_label(term)}]")
@@ -392,7 +417,8 @@ def build_enumerated_fragments(circuit: Circuit, cuts) -> list[SampledFragment]:
 
 
 def op_pair_label(term: QpdTerm) -> str:
-    return f"{term.op_a.label()},{term.op_b.label()}"
+    """Operator names of a term's two sides, e.g. `PROJ_PLUS(+1),ROT_I_PLUS_IZ(-1)`."""
+    return ",".join(side if alpha is None else f"{side}({alpha:+d})" for side, alpha in term.sides())
 
 
 def fragment_manifest(circuit: Circuit, cuts, mode: str = "enumerated") -> dict:
@@ -444,12 +470,7 @@ def write_fragment_manifest(path, circuit: Circuit, cuts, mode: str = "enumerate
 def evaluate_term_exact(circuit: Circuit, cut: CutSite, term: QpdTerm,
                         observables: list[PauliObservable], noise=None) -> list[float]:
     """Raw (pre-coefficient) values of one term's fragment, exactly."""
-    cuts = _check_cuts(circuit, [cut])
-    cut = cuts[0]
-    rho = apply_gates_density(DensityMatrix.zero(circuit.n_qubits), circuit.gates[: cut.position], noise)
-    rho = apply_fragment_operator(rho, cut.qubit_a, term.op_a)
-    rho = apply_fragment_operator(rho, cut.qubit_b, term.op_b)
-    rho = apply_gates_density(rho, circuit.gates[cut.position:], noise)
+    rho = _run_through_cuts(circuit, _check_cuts(circuit, [cut]), [[(1.0, term)]], noise)
     return [expectation(rho, obs) for obs in observables]
 
 

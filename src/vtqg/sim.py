@@ -5,10 +5,9 @@ significant bit of the flat index.  A statevector reshaped to [2]*n exposes
 qubit q as axis q; a density matrix reshaped to [2]*(2n) exposes qubit q as
 row axis q and column axis n+q.
 
-Density matrices are carried with their raw trace: quasi-probability fragment
-operators are trace-increasing on purpose, and nothing here ever renormalizes.
-Expectation values are likewise raw traces, which keeps the whole pipeline
-linear in the state.
+Density matrices are carried with their raw trace and nothing here ever
+renormalizes.  Expectation values are likewise raw traces, which keeps the
+whole pipeline linear in the state.
 
 Shot sampling draws one pseudo-random stream per shot from
 PCG64(SeedSequence(seed, spawn_key=(shot_index,))), so a (circuit, seed,
@@ -22,7 +21,6 @@ import csv
 import itertools
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -236,10 +234,6 @@ class DensityMatrix:
         mat[0, 0] = 1.0
         return cls(n, mat)
 
-    @classmethod
-    def from_statevector(cls, psi: StateVector) -> "DensityMatrix":
-        return cls(psi.n_qubits, np.outer(psi.amps, psi.amps.conj()))
-
     @property
     def trace(self) -> float:
         return float(np.trace(self.mat).real)
@@ -287,76 +281,6 @@ class ShotOutcome:
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
 
 
-# --- fragment operators -----------------------------------------------------
-
-
-class FragmentOpKind(Enum):
-    PROJ_PLUS = "PROJ_PLUS"      # rho -> (I + a Z) rho (I + a Z)
-    ROT_I_PLUS_IZ = "ROT_I_PLUS_IZ"  # rho -> (I + i a Z) rho (I - i a Z)
-    PAULI_Z = "PAULI_Z"
-    IDENTITY = "IDENTITY"
-
-
-@dataclass(frozen=True)
-class FragmentOp:
-    kind: FragmentOpKind
-    alpha: int | None = None
-
-    def __post_init__(self):
-        needs_alpha = self.kind in (FragmentOpKind.PROJ_PLUS, FragmentOpKind.ROT_I_PLUS_IZ)
-        if needs_alpha and self.alpha not in (1, -1):
-            raise ValueError(f"{self.kind.value} needs alpha in {{+1,-1}}")
-        if not needs_alpha and self.alpha is not None:
-            raise ValueError(f"{self.kind.value} takes no alpha")
-
-    def label(self) -> str:
-        if self.alpha is None:
-            return self.kind.value
-        return f"{self.kind.value}({self.alpha:+d})"
-
-
-def proj_plus(alpha: int) -> FragmentOp:
-    return FragmentOp(FragmentOpKind.PROJ_PLUS, alpha)
-
-
-def rot_i_plus_iz(alpha: int) -> FragmentOp:
-    return FragmentOp(FragmentOpKind.ROT_I_PLUS_IZ, alpha)
-
-
-def pauli_z_op() -> FragmentOp:
-    return FragmentOp(FragmentOpKind.PAULI_Z)
-
-
-def identity_op() -> FragmentOp:
-    return FragmentOp(FragmentOpKind.IDENTITY)
-
-
-def apply_fragment_operator(state: DensityMatrix, qubit: int, op: FragmentOp) -> DensityMatrix:
-    """Apply one local decomposition operator; all four are Z-diagonal.
-
-    PROJ_PLUS and ROT_I_PLUS_IZ are intentionally not trace-preserving
-    ((I+iaZ)(I-iaZ) = 2I doubles the trace; the projector side quadruples it
-    on an aligned state); coefficients of the decomposition absorb that.
-    """
-    n = state.n_qubits
-    if not 0 <= qubit < n:
-        raise ValueError(f"qubit {qubit} out of range")
-    if op.kind == FragmentOpKind.IDENTITY:
-        return DensityMatrix(n, state.mat.copy())
-    a = op.alpha
-    if op.kind == FragmentOpKind.PROJ_PLUS:
-        diag = np.array([1 + a, 1 - a], dtype=complex)
-    elif op.kind == FragmentOpKind.ROT_I_PLUS_IZ:
-        diag = np.array([1 + 1j * a, 1 - 1j * a], dtype=complex)
-    else:
-        diag = np.array([1, -1], dtype=complex)
-    t = state.tensor()
-    t = _mul_diag(t, diag, qubit)
-    t = _mul_diag(t, diag.conj(), n + qubit)
-    d = 2**n
-    return DensityMatrix(n, t.reshape(d, d))
-
-
 # --- statevector execution --------------------------------------------------
 
 
@@ -386,12 +310,6 @@ def circuit_unitary(circuit: Circuit, max_qubits: int = 12) -> np.ndarray:
     for g in circuit.gates:
         t = _apply_unitary_rows(t, g)
     return t.reshape(dim, dim)
-
-
-def unitary_overlap(u: np.ndarray, v: np.ndarray) -> float:
-    """Normalized trace overlap |Tr(U^dag V)| / dim; equals 1 iff U = V up to phase."""
-    dim = u.shape[0]
-    return float(abs(np.trace(u.conj().T @ v)) / dim)
 
 
 # --- density-matrix execution ------------------------------------------------
@@ -449,8 +367,8 @@ def apply_gates_density(state: DensityMatrix, gates, noise=None) -> DensityMatri
     """Evolve a density matrix through a gate sequence under an optional noise model.
 
     Measurements apply the full Z instrument: the state branches per outcome
-    and the branches are summed back (with quasi-probability signs for signed
-    measurements) on return.  Classical feedback therefore only sees bits
+    and the branches are summed back (outcome 1 of a signed measurement with
+    sign -1) on return.  Classical feedback therefore only sees bits
     measured within this same call.
     """
     n = state.n_qubits
@@ -687,7 +605,7 @@ def sample_shots(circuit: Circuit, n_shots: int, seed: int,
 
     `basis` selects the measured Pauli per qubit ('X', 'Y' or 'Z', default
     all-Z) via standard pre-rotations, which are applied noise-free.  Signed
-    mid-circuit measurements accumulate the per-shot quasi-probability sign.
+    mid-circuit measurements accumulate the per-shot sign.
     A noise model, if given, is unraveled stochastically per trajectory.
     """
     if n_shots < 1:

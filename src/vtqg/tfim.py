@@ -25,6 +25,7 @@ The initial state is fixed to |0...0>, which pins magnetization to 1 at t=0.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,9 @@ class TfimParams:
     n_steps: int = 1
 
     def __post_init__(self):
+        for name in ("n_qubits", "n_steps"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_qubits < 2:
             raise ValueError("the ring needs at least two qubits")
         if not all(math.isfinite(v) for v in (self.h, self.J, self.dt)):
@@ -83,11 +87,6 @@ class TrotterBuild:
     circuit: Circuit
     layout: Layout
     cuts: tuple[CutSite, ...] = ()
-
-    def manifest(self, mode: str = "enumerated") -> dict:
-        """Fragment manifest for the cut variants (JSON-ready)."""
-        from .qpd import fragment_manifest
-        return fragment_manifest(self.circuit, self.cuts, mode)
 
 
 def build_trotter_circuit(params: TfimParams, variant: str,

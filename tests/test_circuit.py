@@ -264,6 +264,14 @@ class TestTextFormat:
         c = Circuit(3, 1)
         assert circuit_from_text(circuit_to_text(c)) == c
 
+    def test_malformed_lines_raise_value_error_naming_the_line(self):
+        with pytest.raises(ValueError, match="qubits 2"):
+            circuit_from_text("qubits 2\nX 0\n")
+        with pytest.raises(ValueError, match="'X'"):
+            circuit_from_text("X\n")
+        with pytest.raises(ValueError, match="'IF 0'"):
+            circuit_from_text("qubits 1 clbits 1\nMEASURE_Z 0 -> 0\nIF 0\n")
+
 
 class TestCouplingMapJson:
     def test_roundtrip(self):

@@ -73,6 +73,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(sampling_strategy="direct")
 
+    def test_non_integer_counts_rejected(self):
+        with pytest.raises(ValueError, match="repetitions"):
+            small_config(repetitions=2.5)
+        with pytest.raises(ValueError, match="shots"):
+            small_config(mode="sampling", shots=2.5)
+
     def test_unknown_fields_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict({"params": default_params().__dict__, "backend": "x"})
@@ -197,6 +203,13 @@ class TestEmitAndRead:
         path = tmp_path / "out.csv"
         emit_results([record(wall_ms=123.4)], "csv", path, stable_timing=True)
         assert read_results(path)[0].wall_ms == 0.0
+
+    def test_missing_columns_listed(self, tmp_path):
+        path = tmp_path / "partial.csv"
+        path.write_text("variant,n_qubits,mag\nvtqg,4,0.5\n")
+        with pytest.raises(ValueError, match="'repetition'") as err:
+            read_results(path)
+        assert "'wall_ms'" in str(err.value) and "'mag'" not in str(err.value)
 
     def test_bad_format(self, tmp_path):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vtqg.circuit import cnot, h, measure_z, reset, rx, rz, rzx, rzz, swap, x
-from vtqg.noise import NoiseModel, PET_LINEAR, PET_OFF, depolarize, noise_for_gate
+from vtqg.noise import NoiseModel, PET_LINEAR, PET_OFF, depolarize
 from vtqg.sim import DensityMatrix, PauliObservable, expectation, run_density
 from vtqg.tfim import TfimParams, build_trotter_circuit, exact_reference, magnetization, pauli_components
 
@@ -112,54 +112,54 @@ class TestStrengthForGate:
     def test_single_qubit_gates_get_p1(self):
         model = NoiseModel()
         for g in (x(0), h(0), rx(0.3, 0), rz(0.3, 0)):
-            assert noise_for_gate(model, g) == 0.0003
+            assert model.strength_for(g) == 0.0003
 
     def test_cnot_gets_p2(self):
-        assert noise_for_gate(NoiseModel(), cnot(0, 1)) == 0.0087
+        assert NoiseModel().strength_for(cnot(0, 1)) == 0.0087
 
     def test_swap_composes_three_cnots(self):
         model = NoiseModel()
-        assert noise_for_gate(model, swap(0, 1)) == pytest.approx(1 - (1 - 0.0087) ** 3)
+        assert model.strength_for(swap(0, 1)) == pytest.approx(1 - (1 - 0.0087) ** 3)
 
     def test_rzz_composes_two_cnots(self):
         model = NoiseModel()
-        assert noise_for_gate(model, rzz(0.3, 0, 1)) == pytest.approx(1 - (1 - 0.0087) ** 2)
+        assert model.strength_for(rzz(0.3, 0, 1)) == pytest.approx(1 - (1 - 0.0087) ** 2)
 
     def test_pet_rzx_scales_with_angle(self):
         model = NoiseModel()
-        assert noise_for_gate(model, rzx(math.pi / 2, 0, 1, pet=True)) == pytest.approx(0.0087 * 0.5)
+        assert model.strength_for(rzx(math.pi / 2, 0, 1, pet=True)) == pytest.approx(0.0087 * 0.5)
 
     def test_pet_rzx_clamped_to_p1_floor(self):
         model = NoiseModel()
-        assert noise_for_gate(model, rzx(1e-6, 0, 1, pet=True)) == model.p1
+        assert model.strength_for(rzx(1e-6, 0, 1, pet=True)) == model.p1
 
     def test_pet_rzx_clamped_to_p2_ceiling(self):
         model = NoiseModel()
-        assert noise_for_gate(model, rzx(2.5 * math.pi, 0, 1, pet=True)) == model.p2
+        assert model.strength_for(rzx(2.5 * math.pi, 0, 1, pet=True)) == model.p2
 
     def test_pet_scaling_off_falls_back_to_p2(self):
         model = NoiseModel(pet_scaling=PET_OFF)
-        assert noise_for_gate(model, rzx(math.pi / 2, 0, 1, pet=True)) == model.p2
+        assert model.strength_for(rzx(math.pi / 2, 0, 1, pet=True)) == model.p2
 
     def test_untagged_rzx_costs_p2(self):
-        assert noise_for_gate(NoiseModel(), rzx(0.3, 0, 1)) == 0.0087
+        assert NoiseModel().strength_for(rzx(0.3, 0, 1)) == 0.0087
 
     def test_measure_and_reset_get_reset_error(self):
         model = NoiseModel(reset_error=0.004)
-        assert noise_for_gate(model, measure_z(0, 0)) == 0.004
-        assert noise_for_gate(model, reset(0)) == 0.004
-        assert noise_for_gate(NoiseModel(), reset(0)) == 0.0
+        assert model.strength_for(measure_z(0, 0)) == 0.004
+        assert model.strength_for(reset(0)) == 0.004
+        assert NoiseModel().strength_for(reset(0)) == 0.0
 
     def test_controlled_gate_uses_inner(self):
         from vtqg.circuit import classically_controlled
         model = NoiseModel()
-        assert noise_for_gate(model, classically_controlled(x(0), 0)) == model.p1
+        assert model.strength_for(classically_controlled(x(0), 0)) == model.p1
 
     def test_pet_never_exceeds_two_cnot_baseline(self):
         model = NoiseModel()
-        baseline = noise_for_gate(model, rzz(0.3, 0, 1))
+        baseline = model.strength_for(rzz(0.3, 0, 1))
         for theta in np.linspace(-math.pi, math.pi, 41):
-            pet = noise_for_gate(model, rzx(float(theta), 0, 1, pet=True))
+            pet = model.strength_for(rzx(float(theta), 0, 1, pet=True))
             assert pet <= baseline + 1e-15
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vtqg.circuit import Circuit, circuit_from_text, rx
+from vtqg.circuit import Circuit, circuit_from_text, rx, rzz
 from vtqg.errors import PreconditionError
 from vtqg.qpd import (
     CROSS_TERM_SCALE,
@@ -35,11 +35,12 @@ from vtqg.qpd import (
     simplify_projected,
     write_fragment_manifest,
 )
+from vtqg.noise import NoiseModel
 from vtqg.sim import (
     DensityMatrix,
     PauliObservable,
+    apply_gates_density,
     expectation,
-    identity_op,
     run_statevector,
     sample_shots,
 )
@@ -120,6 +121,87 @@ class TestReconstructChannel:
             reconstruct_channel(decompose_vrzz(0.3), DensityMatrix.zero(3))
 
 
+def apply_term(term, rho):
+    """One term's local operators applied with weight 1 to a 2-qubit density array."""
+    return reconstruct_channel([term], DensityMatrix(2, rho))
+
+
+class TestTermOperators:
+    KET0 = np.diag([1.0, 0.0]).astype(complex)
+    KET1 = np.diag([0.0, 1.0]).astype(complex)
+
+    def test_projector_on_aligned_state_quadruples_trace(self):
+        # the rotation side doubles the trace of any state, so 8 = 4 (projector) x 2
+        for alpha, ket in ((1, self.KET0), (-1, self.KET1)):
+            rho = np.kron(ket, self.KET0)
+            out = apply_term(QpdTerm(1.0, FAMILY_PROJ_ROT, alpha, 1), rho)
+            assert out.trace == pytest.approx(8.0, abs=1e-12)
+            assert np.allclose(out.mat, 8 * rho)
+
+    def test_projector_on_anti_aligned_state_annihilates(self):
+        rng = np.random.default_rng(11)
+        for alpha, ket in ((1, self.KET1), (-1, self.KET0)):
+            rho = np.kron(oracles.random_density(1, rng), ket)
+            out = apply_term(QpdTerm(1.0, FAMILY_ROT_PROJ, 1, alpha), rho)
+            assert np.linalg.norm(out.mat) < 1e-14
+
+    def test_rotation_doubles_trace_exactly(self):
+        # summed over the projector signs the partner side is 4x the identity channel
+        rng = np.random.default_rng(6)
+        for alpha in (1, -1):
+            rho = DensityMatrix(2, oracles.random_density(2, rng))
+            terms = [QpdTerm(1.0, FAMILY_PROJ_ROT, sign, alpha) for sign in (1, -1)]
+            assert reconstruct_channel(terms, rho).trace == pytest.approx(8.0, abs=1e-12)
+
+    def test_rotation_matches_scaled_rz(self):
+        # (I + i a Z) rho (I - i a Z) = 2 Rz(-a pi/2) rho Rz(-a pi/2)^dag
+        rng = np.random.default_rng(7)
+        rho = oracles.random_density(1, rng)
+        for alpha in (1, -1):
+            out = apply_term(QpdTerm(1.0, FAMILY_ROT_PROJ, alpha, 1), np.kron(rho, self.KET0))
+            u = oracles.rz_unitary(-alpha * math.pi / 2)
+            expected = np.kron(2 * u @ rho @ u.conj().T, 4 * self.KET0)
+            assert np.linalg.norm(out.mat - expected) < 1e-12
+
+    def test_pauli_z_conjugation(self):
+        rng = np.random.default_rng(8)
+        rho = oracles.random_density(2, rng)
+        zz = np.kron(oracles.Z, oracles.Z)
+        out = apply_term(QpdTerm(1.0, FAMILY_ZZ), rho)
+        assert np.linalg.norm(out.mat - zz @ rho @ zz) < 1e-12
+
+    def test_identity_is_noop(self):
+        rng = np.random.default_rng(9)
+        rho = oracles.random_density(2, rng)
+        assert np.array_equal(apply_term(QpdTerm(1.0, FAMILY_II), rho).mat, rho)
+
+    def test_linear_in_the_state(self):
+        rng = np.random.default_rng(10)
+        for term in decompose_vrzz(0.7):
+            h1 = oracles.random_hermitian(2, rng)
+            h2 = oracles.random_hermitian(2, rng)
+            a, b = rng.normal(), rng.normal()
+            lhs = apply_term(term, a * h1 + b * h2).mat
+            rhs = a * apply_term(term, h1).mat + b * apply_term(term, h2).mat
+            # linear map with no hidden normalization; only input rounding separates the two
+            assert np.linalg.norm(lhs - rhs) < 1e-12 * max(np.linalg.norm(rhs), 1.0)
+
+    def test_invalid_qubit(self):
+        obs = [PauliObservable.single(2, 0, "Z")]
+        with pytest.raises(ValueError):
+            evaluate_term_exact(Circuit(2), CutSite(0, 0, 2, 0.3), decompose_vrzz(0.3)[2], obs)
+
+    def test_alpha_validation(self):
+        with pytest.raises(ValueError):
+            QpdTerm(0.1, FAMILY_PROJ_ROT, 0, 1)
+        with pytest.raises(ValueError):
+            QpdTerm(0.1, FAMILY_ROT_PROJ, 1, 2)
+        with pytest.raises(ValueError):
+            QpdTerm(0.1, FAMILY_ZZ, 1, None)
+        with pytest.raises(ValueError):
+            QpdTerm(0.1, "XX")
+
+
 class TestGamma:
     def test_endpoints(self):
         assert gamma(0.0) == 1.0
@@ -162,7 +244,7 @@ class TestGrouping:
             group_for_sampling(terms[:9])
         with pytest.raises(ValueError):
             group_for_sampling(list(reversed(terms)))
-        broken = [QpdTerm(0.5, FAMILY_II, identity_op(), identity_op())] + terms[1:]
+        broken = [QpdTerm(0.5, FAMILY_II)] + terms[1:]
         with pytest.raises(ValueError):
             group_for_sampling(broken)
 
@@ -172,7 +254,6 @@ class TestGrouping:
         theta = 0.787
         groups = group_for_sampling(decompose_vrzz(theta))
         rho = oracles.random_density(2, rng)
-        from vtqg.sim import apply_gates_density
         total = np.zeros((4, 4), dtype=complex)
         for g in groups:
             gates = g.insertion_gates(0, 1, 0)
@@ -331,6 +412,58 @@ class TestFragmentPrograms:
             run_enumerated_exact(c, [CutSite(5, 0, 1, 0.3)], [PauliObservable.single(2, 0, "Z")])
         with pytest.raises(ValueError):
             run_enumerated_exact(c, [CutSite(0, 0, 0, 0.3)], [PauliObservable.single(2, 0, "Z")])
+
+
+def bloch_observables(n):
+    return [PauliObservable.single(n, q, p) for p in "XYZ" for q in range(n)]
+
+
+class TestCollapsedExact:
+    """The 10^m-term sum equals the circuit with a noiseless RZZ reinstated at each cut."""
+
+    @pytest.mark.parametrize("variant", ["vtqg", "vtqg_pet"])
+    @pytest.mark.parametrize("n,steps", [(4, 1), (4, 2), (6, 1), (6, 2)])
+    def test_equals_noiseless_rzz_at_each_cut(self, n, steps, variant):
+        build = build_trotter_circuit(TfimParams(n, 0.786, 0.787, 0.5, steps), variant)
+        noise = NoiseModel()
+        obs = bloch_observables(n)
+        values, count = run_enumerated_exact(build.circuit, build.cuts, obs, noise)
+        assert count == 10**steps
+        rho, start = DensityMatrix.zero(n), 0
+        for cut in build.cuts:
+            rho = apply_gates_density(rho, build.circuit.gates[start:cut.position], noise)
+            rho = apply_gates_density(rho, [rzz(-cut.theta, cut.qubit_a, cut.qubit_b)])
+            start = cut.position
+        rho = apply_gates_density(rho, build.circuit.gates[start:], noise)
+        assert max(abs(v - expectation(rho, o)) for v, o in zip(values, obs)) < 1e-12
+
+    @pytest.mark.parametrize("variant", ["vtqg", "vtqg_pet"])
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_single_cut_equals_weighted_term_values(self, n, variant):
+        build = build_trotter_circuit(TfimParams(n, 0.786, 0.787, 0.5, 1), variant)
+        noise = NoiseModel()
+        obs = bloch_observables(n)
+        values, _ = run_enumerated_exact(build.circuit, build.cuts, obs, noise)
+        cut = build.cuts[0]
+        summed = np.zeros(len(obs))
+        for term in decompose_vrzz(cut.theta):
+            summed += term.coefficient * np.array(evaluate_term_exact(build.circuit, cut, term, obs, noise))
+        assert np.max(np.abs(summed - values)) < 1e-12
+
+    @pytest.mark.parametrize("steps", [1, 2, 3])
+    def test_one_density_run_per_segment(self, steps, monkeypatch):
+        import vtqg.qpd as qpd
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return apply_gates_density(*args, **kwargs)
+
+        monkeypatch.setattr(qpd, "apply_gates_density", counting)
+        build = build_trotter_circuit(TfimParams(4, 0.786, 0.787, 0.5, steps), "vtqg")
+        _, count = run_enumerated_exact(build.circuit, build.cuts, bloch_observables(4), NoiseModel())
+        assert count == 10**steps
+        assert len(calls) == steps + 1
 
 
 class TestManifest:

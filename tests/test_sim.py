@@ -23,13 +23,8 @@ from vtqg.sim import (
     DensityMatrix,
     PauliObservable,
     StateVector,
-    apply_fragment_operator,
     circuit_unitary,
     expectation,
-    identity_op,
-    pauli_z_op,
-    proj_plus,
-    rot_i_plus_iz,
     run_density,
     run_statevector,
     sample_shots,
@@ -150,69 +145,6 @@ class TestDensity:
         second = run_density(Circuit(2, 0, (cnot(0, 1),)), initial=first)
         full = run_density(Circuit(2, 0, (h(0), cnot(0, 1))))
         assert np.linalg.norm(second.mat - full.mat) < 1e-12
-
-
-class TestFragmentOperators:
-    def test_proj_plus_on_zero_quadruples_trace(self):
-        rho = DensityMatrix.zero(1)
-        out = apply_fragment_operator(rho, 0, proj_plus(+1))
-        assert out.trace == pytest.approx(4.0, abs=1e-12)
-        assert np.allclose(out.mat, [[4, 0], [0, 0]])
-
-    def test_proj_plus_on_one_annihilates(self):
-        rho = run_density(Circuit(1, 0, (x(0),)))
-        out = apply_fragment_operator(rho, 0, proj_plus(+1))
-        assert np.linalg.norm(out.mat) < 1e-14
-
-    def test_rotation_doubles_trace_exactly(self):
-        rng = np.random.default_rng(6)
-        for alpha in (1, -1):
-            rho = DensityMatrix(2, oracles.random_density(2, rng))
-            out = apply_fragment_operator(rho, 1, rot_i_plus_iz(alpha))
-            assert out.trace == pytest.approx(2.0, abs=1e-12)
-
-    def test_rotation_matches_scaled_rz(self):
-        # (I + i a Z) rho (I - i a Z) = 2 Rz(-a pi/2) rho Rz(-a pi/2)^dag
-        rng = np.random.default_rng(7)
-        rho = oracles.random_density(1, rng)
-        for alpha in (1, -1):
-            out = apply_fragment_operator(DensityMatrix(1, rho), 0, rot_i_plus_iz(alpha))
-            u = oracles.rz_unitary(-alpha * math.pi / 2)
-            assert np.linalg.norm(out.mat - 2 * u @ rho @ u.conj().T) < 1e-12
-
-    def test_pauli_z_conjugation(self):
-        rng = np.random.default_rng(8)
-        rho = oracles.random_density(1, rng)
-        out = apply_fragment_operator(DensityMatrix(1, rho), 0, pauli_z_op())
-        assert np.linalg.norm(out.mat - oracles.Z @ rho @ oracles.Z) < 1e-12
-
-    def test_identity_is_noop(self):
-        rng = np.random.default_rng(9)
-        rho = oracles.random_density(2, rng)
-        out = apply_fragment_operator(DensityMatrix(2, rho), 0, identity_op())
-        assert np.array_equal(out.mat, rho)
-
-    def test_linear_in_the_state(self):
-        rng = np.random.default_rng(10)
-        for op in (proj_plus(1), proj_plus(-1), rot_i_plus_iz(1), rot_i_plus_iz(-1), pauli_z_op()):
-            h1 = oracles.random_hermitian(2, rng)
-            h2 = oracles.random_hermitian(2, rng)
-            a, b = rng.normal(), rng.normal()
-            lhs = apply_fragment_operator(DensityMatrix(2, a * h1 + b * h2), 1, op).mat
-            rhs = (a * apply_fragment_operator(DensityMatrix(2, h1), 1, op).mat
-                   + b * apply_fragment_operator(DensityMatrix(2, h2), 1, op).mat)
-            # linear map with no hidden normalization; only input rounding separates the two
-            assert np.linalg.norm(lhs - rhs) < 1e-12 * max(np.linalg.norm(rhs), 1.0)
-
-    def test_invalid_qubit(self):
-        with pytest.raises(ValueError):
-            apply_fragment_operator(DensityMatrix.zero(1), 1, proj_plus(1))
-
-    def test_alpha_validation(self):
-        with pytest.raises(ValueError):
-            proj_plus(0)
-        with pytest.raises(ValueError):
-            rot_i_plus_iz(2)
 
 
 class TestExpectation:

@@ -44,6 +44,12 @@ class TestParams:
         with pytest.raises(ValueError):
             TfimParams(4, float("nan"), 0.5, 0.5)
 
+    def test_non_integer_sizes_rejected(self):
+        with pytest.raises(ValueError, match="n_qubits"):
+            TfimParams(4.0, 0.5, 0.5, 0.5)
+        with pytest.raises(ValueError, match="n_steps"):
+            TfimParams(4, 0.5, 0.5, 0.5, n_steps=1.5)
+
     def test_angle_wiring(self):
         p = params(8)
         assert p.theta_rx == pytest.approx(2 * 0.786 * 0.5)
