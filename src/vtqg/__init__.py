@@ -52,7 +52,7 @@ from .qpd import (
 from .sim import (
     DensityMatrix,
     PauliObservable,
-    ShotOutcome,
+    Shots,
     StateVector,
     expectation,
     run_density,

@@ -57,8 +57,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("shots", "repetitions"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         object.__setattr__(self, "variants", tuple(self.variants))
         if not self.variants or any(v not in RUN_VARIANTS for v in self.variants):
             raise ValueError(f"variants must be a non-empty subset of {RUN_VARIANTS}")
@@ -120,15 +121,12 @@ def _child_seed(seed: int, *key: int) -> int:
     return int(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)).generate_state(1, np.uint64)[0])
 
 
-def _signed_qubit_means(outcomes, n: int, keep_rules) -> np.ndarray:
+def _signed_qubit_means(shots, keep_rules) -> np.ndarray:
     """Per-qubit mean of sign * (+1/-1 eigenvalue), zeroing shots that fail keep rules."""
-    bits = np.array([o.bits for o in outcomes], dtype=float)
-    factor = np.array([o.sign for o in outcomes], dtype=float)
-    if keep_rules:
-        for clbit, required in keep_rules:
-            match = np.array([o.clbits[clbit] == required for o in outcomes], dtype=float)
-            factor = factor * match
-    return ((1.0 - 2.0 * bits) * factor[:, None]).mean(axis=0)
+    factor = shots.sign.astype(float)
+    for clbit, required in keep_rules:
+        factor = factor * (shots.clbits[:, clbit] == required)
+    return ((1.0 - 2.0 * shots.bits) * factor[:, None]).mean(axis=0)
 
 
 def _execute_exact(build: TrotterBuild, noise: NoiseModel):
@@ -141,7 +139,10 @@ def _execute_exact(build: TrotterBuild, noise: NoiseModel):
         rho = run_density(build.circuit, noise)
         comps = pauli_components(rho, build.layout)
         nfrag = 1
-    return comps, nfrag
+    # The sampler flips each terminal bit with probability f, which scales
+    # every single-qubit Pauli mean by 1 - 2f.
+    scale = 1.0 - 2.0 * noise.readout_flip
+    return tuple([scale * v for v in c] for c in comps), nfrag
 
 
 def _execute_sampling(build: TrotterBuild, config: ExperimentConfig, seed_rep: int, variant_index: int):
@@ -164,7 +165,7 @@ def _execute_sampling(build: TrotterBuild, config: ExperimentConfig, seed_rep: i
         for j, pauli in enumerate("XYZ"):
             outcomes = sample_shots(frag.circuit, shots, _child_seed(seed_rep, variant_index, k, j),
                                     basis=pauli * n, noise=noise)
-            acc[j] += frag.weight * _signed_qubit_means(outcomes, n, frag.keep_rules)
+            acc[j] += frag.weight * _signed_qubit_means(outcomes, frag.keep_rules)
     comps = tuple(build.layout.logical_values(list(a)) for a in acc)
     return comps, len(fragments)
 

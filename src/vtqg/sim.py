@@ -9,10 +9,16 @@ Density matrices are carried with their raw trace and nothing here ever
 renormalizes.  Expectation values are likewise raw traces, which keeps the
 whole pipeline linear in the state.
 
-Shot sampling draws one pseudo-random stream per shot from
-PCG64(SeedSequence(seed, spawn_key=(shot_index,))), so a (circuit, seed,
-n_shots) triple reproduces bit-identical outcomes on any platform and shot
-batches may be partitioned across workers without changing results.
+Shot sampling advances a block of shots together: the block is one state
+tensor with the shot as its trailing axis, [2]*n + [shots], so the row
+kernels below apply to every shot at once.  Every random number is a
+counter-based uniform u(seed, shot, draw), output `draw` of a SplitMix64
+stream whose state starts at a hash of (seed, shot), and each gate owns fixed
+draw slots.  A shot's outcome therefore depends only on (circuit, seed, shot
+index): a (circuit, seed, n_shots) triple reproduces bit-identical outcomes
+on any platform, a shorter run is a prefix of a longer one, and the split
+into blocks changes nothing.  These streams replaced one PCG64 SeedSequence
+stream per shot, so sampled bits differ from that earlier sampler.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -268,19 +275,6 @@ class PauliObservable:
         return cls(((s, weight),))
 
 
-@dataclass(frozen=True)
-class ShotOutcome:
-    """One sampled trajectory: terminal bit per qubit, classical register, sign."""
-
-    bits: tuple[int, ...]
-    clbits: tuple[int, ...]
-    sign: int
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-
-
 # --- statevector execution --------------------------------------------------
 
 
@@ -442,42 +436,45 @@ _BASIS_ROT = {
     # Rz(-pi/2) then H: maps the Y eigenbasis onto the Z basis.
     "Y": _MAT_1Q[GateKind.H] @ np.array([[1, 0], [0, -1j]], dtype=complex),
 }
+_PAULI_STACK = np.stack([np.eye(2, dtype=complex), _PAULI["X"], _PAULI["Y"], _PAULI["Z"]])
+
+# Amplitudes the sampler holds at once (16 MiB of complex128): shots run in
+# blocks of _BLOCK_AMPLITUDES >> n_qubits, which bounds memory at any n_shots.
+_BLOCK_AMPLITUDES = 1 << 20
+
+# Gate i of a circuit owns draws 4*i + slot; the terminal readout owns draws
+# from 4*len(gates) on.  Fixed slots keep a shot's stream independent of which
+# random events fired earlier in it.
+_DRAWS_PER_GATE = 4
+_SLOT_OUTCOME, _SLOT_EVENT, _SLOT_PAULI = 0, 1, 2  # Pauli slot + k for the gate's k-th qubit
+_SLOT_INDEX, _SLOT_FLIP = 0, 1                     # terminal: basis state, then one flip per qubit
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 
-def _shot_rng(seed: int, shot: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(shot,)))
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer on a uint64 array (wrapping arithmetic, a bijection)."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
-def _measure_prob_one(psi_t: np.ndarray, q: int, n: int) -> float:
-    probs = np.abs(psi_t) ** 2
-    p1 = float(probs.sum(axis=tuple(i for i in range(n) if i != q))[1])
-    return min(max(p1, 0.0), 1.0)
+def _shot_keys(seed: int, start: int, stop: int) -> np.ndarray:
+    """Stream key of each shot in [start, stop): every 64-bit word of the seed, then the index."""
+    key = np.zeros(1, dtype=np.uint64)
+    while True:
+        key = _mix64(key ^ np.uint64(seed & _MASK64))
+        seed >>= 64
+        if not seed:
+            break
+    return _mix64(key ^ _mix64(np.arange(start, stop, dtype=np.uint64) * _GOLDEN))
 
 
-def _collapse(psi_t: np.ndarray, q: int, outcome: int, p: float, n: int) -> np.ndarray:
-    out = psi_t.copy()
-    idx = [slice(None)] * n
-    idx[q] = 1 - outcome
-    out[tuple(idx)] = 0.0
-    return out / math.sqrt(p) if p > 0.0 else out
-
-
-class _Leaf:
-    __slots__ = ("cum",)
-
-    def __init__(self, cum: np.ndarray):
-        self.cum = cum
-
-
-class _Split:
-    __slots__ = ("p1", "clbit", "signed", "flip_on_one", "kids")
-
-    def __init__(self, p1, clbit, signed, flip_on_one):
-        self.p1 = p1
-        self.clbit = clbit
-        self.signed = signed
-        self.flip_on_one = flip_on_one  # RESET re-prepares |0> after an outcome of 1
-        self.kids: list = [None, None]
+def _uniforms(keys: np.ndarray, draws) -> np.ndarray:
+    """u(seed, shot, draw) in [0, 1): output `draw` of a SplitMix64 stream started at the shot key."""
+    steps = (np.asarray(draws, dtype=np.uint64).reshape(-1) + np.uint64(1)) * _GOLDEN
+    return (_mix64(keys + steps) >> np.uint64(11)) * 2.0**-53
 
 
 def _apply_basis_rotations(psi_t: np.ndarray, basis: str) -> np.ndarray:
@@ -488,126 +485,109 @@ def _apply_basis_rotations(psi_t: np.ndarray, basis: str) -> np.ndarray:
     return psi_t
 
 
-def _build_branch_tree(gates, idx, psi_t, clbits, n, basis):
-    """Unroll measurement branching once so per-shot replay is cheap."""
-    i = idx
-    while i < len(gates):
-        g = gates[i]
+def _measure_shots(psi: np.ndarray, q: int, u: np.ndarray, reset: bool):
+    """Z-measure qubit q of every shot: draw, collapse, renormalize; reset re-prepares |0>.
+
+    Returns (state, outcomes).  A shot whose drawn outcome has zero probability
+    is left as the zero vector rather than divided by zero.
+    """
+    shots = psi.shape[-1]
+    one = np.take(psi, 1, axis=q)
+    p1 = np.clip((one.real**2 + one.imag**2).reshape(-1, shots).sum(axis=0), 0.0, 1.0)
+    outcome = u < p1
+    p = np.where(outcome, p1, 1.0 - p1)
+    scale = np.divide(1.0, np.sqrt(p), out=np.zeros_like(p), where=p > 0.0)
+    diag = np.stack([np.where(outcome, 0.0, scale), np.where(outcome, scale, 0.0)])  # [2, shots]
+    shape = [1] * psi.ndim
+    shape[q], shape[-1] = 2, shots
+    psi = psi * diag.reshape(shape)
+    if reset:
+        kept = psi.sum(axis=q)  # the other half is zero
+        psi = np.stack([kept, np.zeros_like(kept)], axis=q)
+    return psi, outcome
+
+
+def _depolarize_shots(psi: np.ndarray, qubits, p: float, keys: np.ndarray, draw: int,
+                      active: np.ndarray | None) -> np.ndarray:
+    """Unravel depolarizing noise: where u < p, a uniform Pauli (I, X, Y or Z) on each qubit."""
+    if p <= 0.0:
+        return psi
+    hit = _uniforms(keys, draw + _SLOT_EVENT) < p
+    if active is not None:
+        hit &= active
+    if not hit.any():
+        return psi
+    sub, sub_keys = psi[..., hit], keys[hit]
+    for k, q in enumerate(qubits):
+        mats = _PAULI_STACK[(4.0 * _uniforms(sub_keys, draw + _SLOT_PAULI + k)).astype(np.intp)]
+        sub = np.moveaxis(np.einsum("sij,j...s->i...s", mats, np.moveaxis(sub, q, 0)), 0, q)
+    psi[..., hit] = sub
+    return psi
+
+
+def _sample_block(circuit: Circuit, keys: np.ndarray, basis: str, noise):
+    """Advance every shot of a block together; the state is one tensor [2]*n + [shots]."""
+    n, shots = circuit.n_qubits, len(keys)
+    psi = np.zeros([2] * n + [shots], dtype=complex)
+    psi[(0,) * n] = 1.0
+    clbits = np.zeros((shots, circuit.n_clbits), dtype=np.uint8)
+    sign = np.ones(shots, dtype=np.int8)
+    for i, g in enumerate(circuit.gates):
+        draw = _DRAWS_PER_GATE * i
+        active = None
         if g.kind in (GateKind.MEASURE_Z, GateKind.RESET):
-            p1 = _measure_prob_one(psi_t, g.qubits[0], n)
-            node = _Split(p1, g.clbit, g.signed, g.kind == GateKind.RESET)
-            for outcome in (0, 1):
-                p = p1 if outcome == 1 else 1.0 - p1
-                if p <= 0.0:
-                    continue
-                kid = _collapse(psi_t, g.qubits[0], outcome, p, n)
-                if node.flip_on_one and outcome == 1:
-                    kid = _apply_1q(kid, _MAT_1Q[GateKind.X], g.qubits[0])
-                kid_clbits = clbits if g.clbit is None else {**clbits, g.clbit: outcome}
-                node.kids[outcome] = _build_branch_tree(gates, i + 1, kid, kid_clbits, n, basis)
-            return node
-        if g.kind == GateKind.CLASSICALLY_CONTROLLED:
-            if clbits.get(g.clbit, 0) == 1:
-                psi_t = _apply_unitary_rows(psi_t, g.inner)
-        else:
-            psi_t = _apply_unitary_rows(psi_t, g)
-        i += 1
-    psi_t = _apply_basis_rotations(psi_t, basis)
-    probs = np.abs(psi_t.reshape(-1)) ** 2
-    cum = np.cumsum(probs)
-    cum /= cum[-1]
-    return _Leaf(cum)
-
-
-def _bits_of_index(index: int, n: int) -> tuple[int, ...]:
-    return tuple((index >> (n - 1 - q)) & 1 for q in range(n))
-
-
-def _sample_fast(circuit: Circuit, n_shots: int, seed: int, basis: str) -> list[ShotOutcome]:
-    n = circuit.n_qubits
-    root = _build_branch_tree(circuit.gates, 0, StateVector.zero(n).amps.reshape([2] * n), {}, n, basis)
-    out = []
-    for shot in range(n_shots):
-        rng = _shot_rng(seed, shot)
-        clbits = [0] * circuit.n_clbits
-        sign = 1
-        node = root
-        while isinstance(node, _Split):
-            outcome = 1 if rng.random() < node.p1 else 0
-            if node.kids[outcome] is None:  # numerically impossible branch
-                outcome = 1 - outcome
-            if node.clbit is not None:
-                clbits[node.clbit] = outcome
-            if node.signed and outcome == 1:
-                sign = -sign
-            node = node.kids[outcome]
-        index = int(np.searchsorted(node.cum, rng.random(), side="right"))
-        index = min(index, 2**n - 1)
-        out.append(ShotOutcome(_bits_of_index(index, n), tuple(clbits), sign))
-    return out
-
-
-def _sample_one_noisy(circuit: Circuit, rng: np.random.Generator, basis: str, noise) -> ShotOutcome:
-    """Single stochastic trajectory: depolarizing events unraveled as random Paulis."""
-    n = circuit.n_qubits
-    psi_t = StateVector.zero(n).amps.reshape([2] * n)
-    clbits = [0] * circuit.n_clbits
-    sign = 1
-
-    def noise_event(g: Gate):
-        nonlocal psi_t
-        p = noise.strength_for(g)
-        if p <= 0.0:
-            return
-        if rng.random() >= p:
-            return
-        for q in g.qubits:  # uniform Pauli per participating qubit = the same channel
-            k = int(rng.integers(4))
-            if k:
-                psi_t = _apply_1q(psi_t, _PAULI["XYZ"[k - 1]], q)
-
-    for g in circuit.gates:
-        if g.kind in (GateKind.MEASURE_Z, GateKind.RESET):
-            q = g.qubits[0]
-            p1 = _measure_prob_one(psi_t, q, n)
-            outcome = 1 if rng.random() < p1 else 0
-            psi_t = _collapse(psi_t, q, outcome, p1 if outcome else 1.0 - p1, n)
-            if g.kind == GateKind.RESET and outcome == 1:
-                psi_t = _apply_1q(psi_t, _MAT_1Q[GateKind.X], q)
+            psi, outcome = _measure_shots(psi, g.qubits[0], _uniforms(keys, draw + _SLOT_OUTCOME),
+                                          g.kind == GateKind.RESET)
             if g.clbit is not None:
-                clbits[g.clbit] = outcome
-            if g.signed and outcome == 1:
-                sign = -sign
-            noise_event(g)
+                clbits[:, g.clbit] = outcome
+            if g.signed:
+                sign[outcome] *= -1
         elif g.kind == GateKind.CLASSICALLY_CONTROLLED:
-            if clbits[g.clbit] == 1:
-                psi_t = _apply_unitary_rows(psi_t, g.inner)
-                noise_event(g)
+            active = clbits[:, g.clbit] == 1
+            psi = np.where(active, _apply_unitary_rows(psi, g.inner), psi)
         else:
-            psi_t = _apply_unitary_rows(psi_t, g)
-            noise_event(g)
-    psi_t = _apply_basis_rotations(psi_t, basis)
-    probs = np.abs(psi_t.reshape(-1)) ** 2
-    cum = np.cumsum(probs)
-    cum /= cum[-1]
-    index = min(int(np.searchsorted(cum, rng.random(), side="right")), 2**n - 1)
-    bits = list(_bits_of_index(index, n))
-    if noise.readout_flip > 0.0:
-        for q in range(n):
-            if rng.random() < noise.readout_flip:
-                bits[q] = 1 - bits[q]
-    return ShotOutcome(tuple(bits), tuple(clbits), sign)
+            psi = _apply_unitary_rows(psi, g)
+        if noise is not None:
+            psi = _depolarize_shots(psi, g.qubits, noise.strength_for(g), keys, draw, active)
+    psi = _apply_basis_rotations(psi, basis)
+    cum = np.cumsum((psi.real**2 + psi.imag**2).reshape(-1, shots), axis=0)
+    terminal = _DRAWS_PER_GATE * len(circuit.gates)
+    target = _uniforms(keys, terminal + _SLOT_INDEX) * cum[-1]
+    index = np.minimum(np.count_nonzero(cum <= target, axis=0), 2**n - 1)
+    bits = ((index[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
+    if noise is not None and noise.readout_flip > 0.0:
+        draws = terminal + _SLOT_FLIP + np.arange(n)
+        bits ^= (_uniforms(keys[:, None], draws) < noise.readout_flip).astype(np.uint8)
+    return bits, clbits, sign
+
+
+@dataclass(frozen=True, eq=False)
+class Shots:
+    """Sampled shots as arrays, one row per shot in shot-index order.
+
+    bits [S, n_qubits] uint8: terminal bit per qubit in the measured basis.
+    clbits [S, n_clbits] uint8: the classical register after the last gate.
+    sign [S] int8: the product of (-1)^outcome over signed measurements.
+    """
+
+    bits: np.ndarray
+    clbits: np.ndarray
+    sign: np.ndarray
 
 
 def sample_shots(circuit: Circuit, n_shots: int, seed: int,
-                 basis: str | None = None, noise=None) -> list[ShotOutcome]:
+                 basis: str | None = None, noise=None) -> Shots:
     """Trajectory sampling with terminal measurement of every qubit.
 
     `basis` selects the measured Pauli per qubit ('X', 'Y' or 'Z', default
     all-Z) via standard pre-rotations, which are applied noise-free.  Signed
-    mid-circuit measurements accumulate the per-shot sign.
-    A noise model, if given, is unraveled stochastically per trajectory.
+    mid-circuit measurements accumulate the per-shot sign.  A noise model, if
+    given, is unraveled stochastically per trajectory: a depolarizing event
+    fires with the gate's strength and applies a uniform Pauli per qubit, and
+    each terminal bit flips with probability `readout_flip`.
     """
+    if isinstance(n_shots, bool) or not isinstance(n_shots, numbers.Integral):
+        raise ValueError(f"n_shots must be an integer, got {n_shots!r}")
     if n_shots < 1:
         raise ValueError("n_shots must be positive")
     if not isinstance(seed, int) or seed < 0:
@@ -618,15 +598,16 @@ def sample_shots(circuit: Circuit, n_shots: int, seed: int,
         raise ValueError(f"basis must be one of X/Y/Z per qubit, got {basis!r}")
     if noise is not None and getattr(noise, "is_zero", False):
         noise = None
-    if noise is None:
-        return _sample_fast(circuit, n_shots, seed, basis)
-    return [_sample_one_noisy(circuit, _shot_rng(seed, shot), basis, noise) for shot in range(n_shots)]
+    block = max(1, _BLOCK_AMPLITUDES >> n)
+    parts = [_sample_block(circuit, _shot_keys(seed, start, min(start + block, n_shots)), basis, noise)
+             for start in range(0, n_shots, block)]
+    return Shots(*(np.concatenate(column) for column in zip(*parts)))
 
 
-def write_shots_csv(outcomes: list[ShotOutcome], path) -> None:
-    """Dump shots as `shot_index, bits, sign` rows."""
+def write_shots_csv(shots: Shots, path) -> None:
+    """Dump shots as `shot_index, bits, sign` rows, bits as one 0/1 string per shot."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["shot_index", "bits", "sign"])
-        for i, o in enumerate(outcomes):
-            writer.writerow([i, "".join(str(b) for b in o.bits), o.sign])
+        for i, (bits, sign) in enumerate(zip(shots.bits, shots.sign)):
+            writer.writerow([i, "".join(map(str, bits)), int(sign)])

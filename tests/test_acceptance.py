@@ -167,8 +167,7 @@ def test_criterion_7_sampling_unbiasedness():
         for k, frag in enumerate(fragments):
             for j, pauli in enumerate("XYZ"):
                 out = sample_shots(frag.circuit, shots, seed=4000 + 10 * k + j, basis=pauli * n)
-                per_shot = np.array(
-                    [o.sign * np.mean([1 - 2 * b for b in o.bits]) for o in out], dtype=float)
+                per_shot = out.sign * np.mean(1.0 - 2.0 * out.bits, axis=1)
                 est[j] += frag.weight * per_shot.mean()
                 var[j] += frag.weight**2 * per_shot.var() / shots
         mag = float(np.linalg.norm(est))

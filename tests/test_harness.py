@@ -78,6 +78,8 @@ class TestConfig:
             small_config(repetitions=2.5)
         with pytest.raises(ValueError, match="shots"):
             small_config(mode="sampling", shots=2.5)
+        with pytest.raises(ValueError, match="shots"):
+            small_config(mode="sampling", shots=True)
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(ValueError):
@@ -160,6 +162,17 @@ class TestRunExperiment:
         expected = [max(1, round(6000 * abs(w) / total)) for w in weights]
         assert calls[::3] == expected  # one entry per fragment (same for each basis)
         assert max(calls) > min(calls)
+
+    def test_exact_mode_applies_readout_flip(self):
+        # the sampler flips terminal bits with probability f, so every Bloch
+        # component (and the magnetization) scales by 1 - 2f
+        f = 0.2
+        base = run_experiment(small_config(repetitions=1, noise=NoiseModel()))
+        flipped = run_experiment(small_config(repetitions=1, noise=NoiseModel(readout_flip=f)))
+        assert [r.variant for r in flipped] == ["routed_original", "vtqg", "vtqg_pet"]
+        for a, b in zip(base, flipped):
+            for name in ("sx", "sy", "sz", "mag"):
+                assert abs(getattr(b, name) - (1 - 2 * f) * getattr(a, name)) < 1e-12, (a.variant, name)
 
     def test_noise_ordering_across_sizes(self):
         gaps = []

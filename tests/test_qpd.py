@@ -275,7 +275,7 @@ class TestGrouping:
         for k, g in enumerate(group_for_sampling(decompose_vrzz(theta))):
             frag = base.with_inserted(len(base.gates), g.insertion_gates(0, 1, 0))
             out = sample_shots(frag, shots, seed=100 + k)
-            vals = np.array([o.sign * (1 - 2 * o.bits[0]) * (1 - 2 * o.bits[1]) for o in out], dtype=float)
+            vals = out.sign * (1.0 - 2.0 * out.bits[:, 0]) * (1.0 - 2.0 * out.bits[:, 1])
             est += g.weight * vals.mean()
             var += g.weight**2 * vals.var() / shots
         assert abs(est - exact) < 4 * math.sqrt(var)

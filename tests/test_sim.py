@@ -19,9 +19,15 @@ from vtqg.circuit import (
     x,
 )
 from vtqg.errors import InvalidCircuitError, ResourceLimitError, StatevectorModeError
+from vtqg import sim
+from vtqg.noise import NoiseModel
 from vtqg.sim import (
+    _BLOCK_AMPLITUDES,
+    _Branch,
+    _evolve_branches,
     DensityMatrix,
     PauliObservable,
+    Shots,
     StateVector,
     circuit_unitary,
     expectation,
@@ -189,41 +195,49 @@ class TestExpectation:
         assert expectation(psi, obs) == pytest.approx(0.5 + 0.25 - 1.0)
 
 
+def same_shots(a, b):
+    return all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("bits", "clbits", "sign"))
+
+
+def prefix(shots, stop):
+    return Shots(shots.bits[:stop], shots.clbits[:stop], shots.sign[:stop])
+
+
 class TestSampling:
     def test_zero_state_all_zero(self):
         out = sample_shots(Circuit(1), 200, seed=0)
-        assert all(o.bits == (0,) for o in out)
-        assert all(o.sign == 1 for o in out)
+        assert np.all(out.bits == 0)
+        assert np.all(out.sign == 1)
 
     def test_bell_correlations(self):
         c = Circuit(2, 0, (h(0), cnot(0, 1)))
         out = sample_shots(c, 500, seed=1)
-        assert {o.bits for o in out} <= {(0, 0), (1, 1)}
+        assert {tuple(b) for b in out.bits} <= {(0, 0), (1, 1)}
 
     def test_plus_state_mean_within_binomial_bounds(self):
         out = sample_shots(Circuit(1, 0, (h(0),)), 100_000, seed=2)
-        mean = np.mean([o.bits[0] for o in out])
+        mean = np.mean(out.bits[:, 0])
         assert abs(mean - 0.5) < 5 * 0.5 / math.sqrt(100_000)
 
     def test_bit_identical_reproducibility(self):
         c = Circuit(2, 1, (h(0), measure_z(0, 0), classically_controlled(x(1), 0), h(1)))
         a = sample_shots(c, 300, seed=9)
         b = sample_shots(c, 300, seed=9)
-        assert a == b
-        assert a != sample_shots(c, 300, seed=10)
+        assert same_shots(a, b)
+        assert not same_shots(a, sample_shots(c, 300, seed=10))
 
     def test_shot_prefix_stable_in_n_shots(self):
         c = Circuit(1, 0, (h(0),))
-        assert sample_shots(c, 50, seed=3) == sample_shots(c, 80, seed=3)[:50]
+        assert same_shots(sample_shots(c, 50, seed=3), prefix(sample_shots(c, 80, seed=3), 50))
 
     def test_x_basis_measurement(self):
         out = sample_shots(Circuit(1, 0, (h(0),)), 300, seed=4, basis="X")
-        assert all(o.bits == (0,) for o in out)  # |+> is the X=+1 eigenstate
+        assert np.all(out.bits == 0)  # |+> is the X=+1 eigenstate
 
     def test_y_basis_measurement(self):
         # RX(-pi/2)|0> = (|0> + i|1>)/sqrt(2), the Y=+1 eigenstate
         out = sample_shots(Circuit(1, 0, (rx(-math.pi / 2, 0),)), 300, seed=5, basis="Y")
-        assert all(o.bits == (0,) for o in out)
+        assert np.all(out.bits == 0)
 
     def test_sampling_consistency_with_exact_expectations(self):
         rng = np.random.default_rng(12)
@@ -235,36 +249,42 @@ class TestSampling:
                 out = sample_shots(c, shots, seed=13, basis=pauli * 3)
                 for q in range(3):
                     exact = expectation(psi, PauliObservable.single(3, q, pauli))
-                    vals = np.array([1 - 2 * o.bits[q] for o in out], dtype=float)
+                    vals = 1.0 - 2.0 * out.bits[:, q]
                     se = max(vals.std() / math.sqrt(shots), 1e-6)
                     assert abs(vals.mean() - exact) < 4 * se
 
     def test_signed_measurement_accumulates_sign(self):
         c = Circuit(1, 1, (x(0), measure_z(0, 0, signed=True)))
         out = sample_shots(c, 50, seed=6)
-        assert all(o.sign == -1 and o.clbits == (1,) for o in out)
+        assert np.all(out.sign == -1) and np.all(out.clbits == 1) and out.clbits.shape == (50, 1)
         c2 = Circuit(1, 1, (measure_z(0, 0, signed=True),))
-        assert all(o.sign == 1 for o in sample_shots(c2, 50, seed=7))
+        assert np.all(sample_shots(c2, 50, seed=7).sign == 1)
 
     def test_signed_mean_realizes_projector_difference(self):
         # E[sign * Z_after] on |+> with a signed mid-circuit measurement recovers
         # Tr[Z (P0 rho P0 - P1 rho P1)] = 1 for rho = |+><+|
         c = Circuit(1, 1, (h(0), measure_z(0, 0, signed=True)))
         out = sample_shots(c, 20_000, seed=8)
-        est = np.mean([o.sign * (1 - 2 * o.bits[0]) for o in out])
+        est = np.mean(out.sign * (1 - 2 * out.bits[:, 0].astype(int)))
         assert est == pytest.approx(1.0, abs=1e-12)
 
     def test_reset_and_feedback_trajectory(self):
         # prepare |1>, measure (bit=1), reset, conditionally flip back on
         c = Circuit(1, 1, (x(0), measure_z(0, 0), reset(0), classically_controlled(x(0), 0)))
         out = sample_shots(c, 100, seed=14)
-        assert all(o.bits == (1,) and o.clbits == (1,) for o in out)
+        assert np.all(out.bits == 1) and np.all(out.clbits == 1)
 
     def test_seed_validation(self):
         with pytest.raises(ValueError):
             sample_shots(Circuit(1), 10, seed=-1)
         with pytest.raises(ValueError):
             sample_shots(Circuit(1), 0, seed=1)
+
+    def test_non_integer_shot_count_rejected(self):
+        for bad in (2.5, 3.0, "4", True):
+            with pytest.raises(ValueError, match="n_shots"):
+                sample_shots(Circuit(1), bad, seed=0)
+        assert sample_shots(Circuit(1), np.int64(3), seed=0).bits.shape == (3, 1)
 
     def test_basis_validation(self):
         with pytest.raises(ValueError):
@@ -280,3 +300,75 @@ class TestSampling:
         assert lines[0] == "shot_index,bits,sign"
         assert lines[1] == "0,01,1"
         assert len(lines) == 4
+
+
+# Strong enough that every noise event, reset error and readout flip shows up
+# in a 2e5-shot histogram.
+LAW_NOISE = NoiseModel(p1=0.05, p2=0.1, reset_error=0.08, readout_flip=0.15)
+
+
+def feedback_circuit(n):
+    """Signed measurement, reset and classical feedback on qubits 0..2, plus a tail on the rest."""
+    gates = [h(0), rx(0.7, 1), cnot(0, 1), measure_z(0, 0, signed=True), rzz(0.9, 1, 2), reset(0),
+             classically_controlled(x(2), 0), rx(1.1, 0), measure_z(1, 1, signed=True),
+             classically_controlled(rzx(0.6, 1, 2), 1), sx(2)]
+    gates += [g for q in range(3, n) for g in (rx(0.3 * q, q), cnot(q - 1, q))]
+    return Circuit(n, 2, tuple(gates))
+
+
+def exact_outcome_law(circuit, basis, noise):
+    """P(clbits, sign, observed terminal bits) from the density-matrix branches."""
+    n = circuit.n_qubits
+    rotate = {"X": [h], "Y": [lambda q: rz(-math.pi / 2, q), h], "Z": []}
+    rotations = [make(q) for q, ch in enumerate(basis) for make in rotate[ch]]
+    rho0 = np.zeros([2] * (2 * n), dtype=complex)
+    rho0[(0,) * (2 * n)] = 1.0
+    branches = _evolve_branches([_Branch(rho0, [0] * circuit.n_clbits, 1)], circuit.gates, noise, n)
+    branches = _evolve_branches(branches, rotations, None, n)
+    flip = np.array([[1 - noise.readout_flip, noise.readout_flip],
+                     [noise.readout_flip, 1 - noise.readout_flip]])
+    law = {}
+    for br in branches:
+        probs = np.real(np.diagonal(br.rho.reshape(2**n, 2**n))).reshape([2] * n)
+        for q in range(n):
+            probs = np.moveaxis(np.tensordot(flip, probs, axes=([1], [q])), 0, q)
+        key = (tuple(br.clbits), br.sign)
+        law[key] = law.get(key, 0.0) + probs.reshape(-1)
+    return law
+
+
+class TestSamplerLaw:
+    def test_joint_histogram_matches_exact_branches(self):
+        from scipy.stats import chi2
+
+        circuit, basis, shots = feedback_circuit(3), "XZY", 200_000
+        law = exact_outcome_law(circuit, basis, LAW_NOISE)
+        assert sum(p.sum() for p in law.values()) == pytest.approx(1.0, abs=1e-12)
+        out = sample_shots(circuit, shots, seed=31, basis=basis, noise=LAW_NOISE)
+        index = out.bits.astype(int) @ (1 << np.arange(2, -1, -1))
+        observed, expected = [], []
+        for (clbits, sign), probs in law.items():
+            rows = np.all(out.clbits == clbits, axis=1) & (out.sign == sign)
+            observed.extend(np.bincount(index[rows], minlength=8))
+            expected.extend(shots * probs)
+        observed, expected = np.array(observed), np.array(expected)
+        assert observed.sum() == shots  # no shot outside the exact support of (clbits, sign)
+        assert np.all(observed[expected < 1e-9] == 0)
+        small = expected < 5  # pooled into one cell
+        obs = np.append(observed[~small], observed[small].sum()) if small.any() else observed
+        exp = np.append(expected[~small], expected[small].sum()) if small.any() else expected
+        stat = float(np.sum((obs - exp) ** 2 / exp))
+        assert chi2.sf(stat, len(obs) - 1) > 1e-3, (stat, len(obs))
+
+    def test_runs_spanning_blocks_match_the_prefix_of_a_longer_run(self, monkeypatch):
+        n = 10
+        block = _BLOCK_AMPLITUDES >> n
+        c = feedback_circuit(n)
+        basis = "XYZ" + "Z" * (n - 3)
+        short = sample_shots(c, block + 7, seed=17, basis=basis, noise=LAW_NOISE)
+        longer = sample_shots(c, 3 * block + 5, seed=17, basis=basis, noise=LAW_NOISE)
+        assert same_shots(short, prefix(longer, block + 7))
+        assert len(set(map(tuple, short.bits))) > 100
+        # a different split into blocks leaves every shot as it was
+        monkeypatch.setattr(sim, "_BLOCK_AMPLITUDES", _BLOCK_AMPLITUDES // 3)
+        assert same_shots(sample_shots(c, 3 * block + 5, seed=17, basis=basis, noise=LAW_NOISE), longer)
