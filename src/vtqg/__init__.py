@@ -35,8 +35,8 @@ from .harness import (
 )
 from .noise import NoiseModel, depolarize
 from .qpd import (
+    CutOption,
     CutSite,
-    GroupedInstrument,
     QpdTerm,
     SimplifiedTerm,
     decompose_vrzz,

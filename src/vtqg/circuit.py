@@ -239,7 +239,15 @@ class CouplingMap:
     @classmethod
     def from_json(cls, text: str) -> "CouplingMap":
         obj = json.loads(text)
-        return cls(int(obj["n"]), frozenset((int(a), int(b)) for a, b in obj["edges"]))
+        if not isinstance(obj, dict):
+            raise ValueError(f"coupling map must be a JSON object with 'n' and 'edges', got a {type(obj).__name__}")
+        missing = [k for k in ("n", "edges") if k not in obj]
+        if missing:
+            raise ValueError(f"coupling map is missing fields {missing}")
+        edges = obj["edges"]
+        if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2 for e in edges):
+            raise ValueError(f"coupling map 'edges' must be a list of [a, b] pairs, got {edges!r}")
+        return cls(int(obj["n"]), frozenset((int(a), int(b)) for a, b in edges))
 
 
 @dataclass(frozen=True)

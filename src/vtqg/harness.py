@@ -26,9 +26,9 @@ import numpy as np
 from .circuit import count_gates
 from .errors import ResourceLimitError
 from .noise import NoiseModel
-from .qpd import SampledFragment, build_enumerated_fragments, build_grouped_fragments, run_enumerated_exact
-from .sim import PauliObservable, run_density, sample_shots
-from .tfim import TfimParams, TrotterBuild, build_trotter_circuit, exact_reference, magnetization, pauli_components
+from .qpd import build_enumerated_fragments, build_grouped_fragments, run_enumerated_exact
+from .sim import PauliObservable, sample_shots
+from .tfim import TfimParams, TrotterBuild, build_trotter_circuit, exact_reference, magnetization
 
 RUN_VARIANTS = ("routed_original", "vtqg", "vtqg_pet")
 MODES = ("exact", "sampling")
@@ -69,7 +69,7 @@ class ExperimentConfig:
             raise ValueError("sampling mode needs shots > 0")
         if self.repetitions < 1:
             raise ValueError("at least one repetition is required")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
         if self.shot_allocation not in ALLOCATIONS:
             raise ValueError(f"shot_allocation must be one of {ALLOCATIONS}")
@@ -131,34 +131,23 @@ def _signed_qubit_means(shots, keep_rules) -> np.ndarray:
 
 def _execute_exact(build: TrotterBuild, noise: NoiseModel):
     n = build.circuit.n_qubits
-    if build.cuts:
-        obs = [PauliObservable.single(n, q, p) for p in "XYZ" for q in range(n)]
-        values, nfrag = run_enumerated_exact(build.circuit, build.cuts, obs, noise)
-        comps = (values[0:n], values[n:2 * n], values[2 * n:3 * n])
-    else:
-        rho = run_density(build.circuit, noise)
-        comps = pauli_components(rho, build.layout)
-        nfrag = 1
+    obs = [PauliObservable.single(n, q, p) for p in "XYZ" for q in range(n)]
+    values, nfrag = run_enumerated_exact(build.circuit, build.cuts, obs, noise)
     # The sampler flips each terminal bit with probability f, which scales
     # every single-qubit Pauli mean by 1 - 2f.
     scale = 1.0 - 2.0 * noise.readout_flip
-    return tuple([scale * v for v in c] for c in comps), nfrag
+    return [[scale * v for v in values[j * n:(j + 1) * n]] for j in range(3)], nfrag
 
 
 def _execute_sampling(build: TrotterBuild, config: ExperimentConfig, seed_rep: int, variant_index: int):
     n = build.circuit.n_qubits
-    if build.cuts:
-        if config.sampling_strategy == "grouped":
-            fragments = build_grouped_fragments(build.circuit, build.cuts)
-        else:
-            fragments = build_enumerated_fragments(build.circuit, build.cuts)
-    else:
-        fragments = [SampledFragment(1.0, build.circuit)]
+    builder = build_grouped_fragments if config.sampling_strategy == "grouped" else build_enumerated_fragments
+    fragments = builder(build.circuit, build.cuts)
     total_abs = sum(abs(f.weight) for f in fragments)
     noise = None if config.noise.is_zero else config.noise
     acc = [np.zeros(n) for _ in range(3)]
     for k, frag in enumerate(fragments):
-        if config.shot_allocation == "proportional" and len(fragments) > 1:
+        if config.shot_allocation == "proportional":
             shots = max(1, round(config.shots * abs(frag.weight) / total_abs))
         else:
             shots = config.shots
@@ -166,8 +155,7 @@ def _execute_sampling(build: TrotterBuild, config: ExperimentConfig, seed_rep: i
             outcomes = sample_shots(frag.circuit, shots, _child_seed(seed_rep, variant_index, k, j),
                                     basis=pauli * n, noise=noise)
             acc[j] += frag.weight * _signed_qubit_means(outcomes, frag.keep_rules)
-    comps = tuple(build.layout.logical_values(list(a)) for a in acc)
-    return comps, len(fragments)
+    return [list(a) for a in acc], len(fragments)
 
 
 def run_experiment(config: ExperimentConfig) -> list[ResultRecord]:
@@ -187,6 +175,7 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRecord]:
                     comps, nfrag = _execute_exact(build, config.noise)
                 else:
                     comps, nfrag = _execute_sampling(build, config, config.seed + rep, vi)
+                comps = [build.layout.logical_values(c) for c in comps]
             except ResourceLimitError as exc:
                 raise ResourceLimitError(f"variant {variant!r}, repetition {rep}: {exc}") from exc
             wall_ms = (time.perf_counter() - t0) * 1000.0

@@ -32,7 +32,7 @@ class NoiseModel:
     def __post_init__(self):
         for name in ("p1", "p2", "reset_error", "readout_flip"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and 0.0 <= v <= 1.0):
+            if isinstance(v, bool) or not (isinstance(v, (int, float)) and math.isfinite(v) and 0.0 <= v <= 1.0):
                 raise ValueError(f"{name} must be a probability in [0, 1], got {v}")
         if self.pet_scaling not in (PET_OFF, PET_LINEAR):
             raise ValueError(f"unknown pet_scaling {self.pet_scaling!r}")

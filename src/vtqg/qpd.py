@@ -18,7 +18,12 @@ fragments per cut, with quasi-probability 1-norm gamma = 1 + 2|sin(theta)|.
 
 One term table (`_SIDES`) gives each local operator both as a Z-diagonal and
 as gates.  Exact evaluation uses the diagonals and linearity: the weighted sum
-over all 10^m term combinations of m cuts is one channel per cut.
+over all 10^m term combinations of m cuts is one channel per cut.  Sampling
+fragments use the gates: an enumerated fragment picks one of the ten terms
+per cut and realizes each projector as a measurement with a keep rule; a
+grouped fragment picks one of the six terms whose projector sign is +1 and
+realizes its projector pair as one signed measurement.  A circuit with no
+cuts is the one fragment of weight 1 and evaluates as a plain density run.
 """
 
 from __future__ import annotations
@@ -32,8 +37,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .circuit import Circuit, Gate, GateKind, circuit_to_text, measure_z, reset, rz, x
-from .errors import PreconditionError
-from .sim import DensityMatrix, PauliObservable, apply_gates_density, expectation
+from .errors import PreconditionError, ResourceLimitError
+from .sim import DENSITY_QUBIT_CAP, DensityMatrix, PauliObservable, apply_gates_density, expectation, run_density
 
 FAMILY_II = "II"
 FAMILY_ZZ = "ZZ"
@@ -49,17 +54,21 @@ class _Side(NamedTuple):
     """A local operator A, applied as rho -> A rho A^dag."""
 
     diagonal: Callable  # alpha -> Z-diagonal of A
-    realize: Callable  # (qubit, alpha, clbit) -> (gates giving A up to a trace scale, that scale, keep rule)
+    scale: float  # A rho A^dag is `scale` times the channel of the gates below
+    realize: Callable  # (qubit, alpha, clbit, signed) -> (gates, keep rule or None)
 
 
-# RZ(pi) conjugates like Pauli Z (its phases cancel in A rho A^dag).
+# RZ(pi) conjugates like Pauli Z (its phases cancel in A rho A^dag).  A
+# projector is a Z measurement kept when its outcome reads alpha; signed, the
+# same measurement realizes the projector pair alpha = +1 minus alpha = -1.
 _SIDES = {
-    "IDENTITY": _Side(lambda a: (1, 1), lambda q, a, k: ([], 1.0, None)),
-    "PAULI_Z": _Side(lambda a: (1, -1), lambda q, a, k: ([rz(math.pi, q)], 1.0, None)),
-    "PROJ_PLUS": _Side(lambda a: (1 + a, 1 - a),
-                       lambda q, a, k: ([measure_z(q, k)], 4.0, (k, 0 if a == 1 else 1))),
-    "ROT_I_PLUS_IZ": _Side(lambda a: (1 + 1j * a, 1 - 1j * a),
-                           lambda q, a, k: ([rz(-a * math.pi / 2, q)], 2.0, None)),
+    "IDENTITY": _Side(lambda a: (1, 1), 1.0, lambda q, a, k, signed: ([], None)),
+    "PAULI_Z": _Side(lambda a: (1, -1), 1.0, lambda q, a, k, signed: ([rz(math.pi, q)], None)),
+    "PROJ_PLUS": _Side(lambda a: (1 + a, 1 - a), 4.0,
+                       lambda q, a, k, signed: ([measure_z(q, k, signed=signed)],
+                                                None if signed else (k, 0 if a == 1 else 1))),
+    "ROT_I_PLUS_IZ": _Side(lambda a: (1 + 1j * a, 1 - 1j * a), 2.0,
+                           lambda q, a, k, signed: ([rz(-a * math.pi / 2, q)], None)),
 }
 _FAMILY_SIDES = {
     FAMILY_II: ("IDENTITY", "IDENTITY"),
@@ -161,33 +170,52 @@ def gamma(theta: float, *, self_check: bool = False) -> float:
 
 KIND_MEAS_ROT = "MEAS_ROT"  # signed Z measurement on qubit a, Rz on qubit b
 KIND_ROT_MEAS = "ROT_MEAS"  # Rz on qubit a, signed Z measurement on qubit b
+_SIGNED_KINDS = {FAMILY_PROJ_ROT: KIND_MEAS_ROT, FAMILY_ROT_PROJ: KIND_ROT_MEAS}
 
 
 @dataclass(frozen=True)
-class GroupedInstrument:
-    """One of six executable fragments per cut.
+class CutOption:
+    """One way to fill a cut in a sampling fragment: a term realized by gates.
 
-    The measurement side is a signed Z instrument: its outcome multiplies the
-    shot's quasi-probability sign.  The rotation side is Rz(rz_angle).
+    With `signed`, each projector side is a signed Z measurement whose outcome
+    multiplies the shot's quasi-probability sign; otherwise it is a plain
+    measurement with a keep rule.
     """
 
-    weight: float
-    kind: str
-    rz_angle: float | None = None
+    term: QpdTerm
+    signed: bool = False
 
-    def insertion_gates(self, qubit_a: int, qubit_b: int, clbit: int) -> list[Gate]:
-        if self.kind == FAMILY_II:
-            return []
-        if self.kind == FAMILY_ZZ:
-            # RZ(pi) conjugates like Pauli Z (phases cancel in A rho A^dag)
-            return [rz(math.pi, qubit_a), rz(math.pi, qubit_b)]
-        if self.kind == KIND_MEAS_ROT:
-            return [measure_z(qubit_a, clbit, signed=True), rz(self.rz_angle, qubit_b)]
-        return [rz(self.rz_angle, qubit_a), measure_z(qubit_b, clbit, signed=True)]
+    @property
+    def weight(self) -> float:
+        """The term's coefficient times the trace scale of its gates."""
+        return self.term.coefficient * math.prod(_SIDES[side].scale for side, _ in self.term.sides())
+
+    def realize(self, qubit_a: int, qubit_b: int, clbit: int) -> tuple[list[Gate], list[tuple[int, int]]]:
+        """Gates on (qubit_a, qubit_b), and the (clbit, value) keep rules they need."""
+        gates, keeps = [], []
+        for qubit, (side, alpha) in zip((qubit_a, qubit_b), self.term.sides()):
+            side_gates, keep = _SIDES[side].realize(qubit, alpha, clbit, self.signed)
+            gates += side_gates
+            if keep is not None:
+                keeps.append(keep)
+        return gates, keeps
+
+    @property
+    def kind(self) -> str:
+        """The term family; a signed cross term is named for its sides (MEAS_ROT or ROT_MEAS)."""
+        return _SIGNED_KINDS.get(self.term.family, self.term.family) if self.signed else self.term.family
+
+    @property
+    def rz_angle(self) -> float | None:
+        """Angle of a cross term's rotation side; None for II and ZZ."""
+        if self.term.family not in _CROSS_FAMILIES:
+            return None
+        gates, _ = self.realize(0, 1, 0)
+        return next(g.angle for g in gates if g.kind == GateKind.RZ)
 
 
-def _validate_terms(terms: list[QpdTerm]) -> tuple[float, float, float]:
-    """Check a term list came from decompose_vrzz; return (cos^2, sin^2, cos*sin) of theta/2."""
+def _validate_terms(terms: list[QpdTerm]) -> None:
+    """Check a term list came from decompose_vrzz."""
     if len(terms) != 10 or terms[0].family != FAMILY_II or terms[1].family != FAMILY_ZZ:
         raise ValueError("term list does not match the ten-term decomposition layout")
     cc, ss = terms[0].coefficient, terms[1].coefficient
@@ -203,26 +231,22 @@ def _validate_terms(terms: list[QpdTerm]) -> tuple[float, float, float]:
             raise ValueError("cross terms out of canonical order")
         if abs(t.coefficient - 0.125 * cs * aa * ab) > 1e-9:
             raise ValueError("cross coefficient does not match its sign pair")
-    return cc, ss, cs
 
 
-def group_for_sampling(terms: list[QpdTerm]) -> list[GroupedInstrument]:
-    """Collapse each sign quadruple into signed instruments: six fragments per cut.
+def group_for_sampling(terms: list[QpdTerm]) -> list[CutOption]:
+    """Collapse each sign quadruple into signed instruments: six options per cut.
 
-    The four PROJ_ROT terms become two instruments (measure qubit a, rotate
-    qubit b by -pi/2 or +pi/2 with weights +-cos(t/2)sin(t/2)); likewise the
-    ROT_PROJ terms with the roles swapped.  Absolute weights sum to gamma.
+    A cross term and its partner with the opposite projector sign have
+    opposite coefficients, so the term whose projector sign is +1 stands for
+    both, its projector pair measured by one signed instrument.  That keeps
+    II, ZZ, then two PROJ_ROT and two ROT_PROJ terms whose rotation side
+    turns by -pi/2 or +pi/2 with weights +-cos(t/2)sin(t/2).  Absolute
+    weights sum to gamma.
     """
-    cc, ss, cs = _validate_terms(terms)
-    half = math.pi / 2
-    return [
-        GroupedInstrument(cc, FAMILY_II),
-        GroupedInstrument(ss, FAMILY_ZZ),
-        GroupedInstrument(+cs, KIND_MEAS_ROT, rz_angle=-half),
-        GroupedInstrument(-cs, KIND_MEAS_ROT, rz_angle=+half),
-        GroupedInstrument(+cs, KIND_ROT_MEAS, rz_angle=-half),
-        GroupedInstrument(-cs, KIND_ROT_MEAS, rz_angle=+half),
-    ]
+    _validate_terms(terms)
+    kept = [t for t in terms if all(alpha == 1 for side, alpha in t.sides() if side == "PROJ_PLUS")]
+    families = list(_FAMILY_SIDES)
+    return [CutOption(t, signed=True) for t in sorted(kept, key=lambda t: families.index(t.family))]
 
 
 def reconstruct_expectation(per_term_values: list[tuple[float, float]]) -> float:
@@ -319,6 +343,8 @@ def _check_cuts(circuit: Circuit, cuts) -> list[CutSite]:
 
 def _run_through_cuts(circuit: Circuit, cuts: list[CutSite], weighted_terms, noise) -> DensityMatrix:
     """Evolve |0...0> segment by segment, applying the (weight, term) pairs of weighted_terms[i] at cut i."""
+    if circuit.n_qubits > DENSITY_QUBIT_CAP:
+        raise ResourceLimitError(f"{circuit.n_qubits} qubits exceeds density cap {DENSITY_QUBIT_CAP}")
     rho = DensityMatrix.zero(circuit.n_qubits)
     start = 0
     for cut, pairs in zip(cuts, weighted_terms):
@@ -349,71 +375,47 @@ class SampledFragment:
     `weight` multiplies the (sign-accumulated) shot average.  `keep_rules`
     lists (clbit, required value) pairs: shots whose mid-circuit outcomes
     disagree contribute zero (that realizes a one-sided projector).
+    `options` holds the option chosen at each cut, in cut order.
     """
 
     weight: float
     circuit: Circuit
     keep_rules: tuple[tuple[int, int], ...] = ()
-    labels: tuple[str, ...] = ()
+    options: tuple[CutOption, ...] = ()
 
 
-def _insert_for_cuts(circuit: Circuit, cuts: list[CutSite], per_cut_gates: list[list[Gate]],
-                     n_clbits: int) -> Circuit:
-    out = circuit
-    for cut, gates in sorted(zip(cuts, per_cut_gates), key=lambda t: -t[0].position):
-        out = out.with_inserted(cut.position, gates, n_clbits=n_clbits)
-    return out
-
-
-def build_grouped_fragments(circuit: Circuit, cuts) -> list[SampledFragment]:
-    """All 6^m signed-instrument circuits for a cut circuit (classical bit k serves cut k)."""
+def _build_fragments(circuit: Circuit, cuts, options_for) -> list[SampledFragment]:
+    """One fragment per combination of per-cut options (classical bit k serves cut k)."""
     cuts = _check_cuts(circuit, cuts)
     n_clbits = max(circuit.n_clbits, len(cuts))
-    groups = [group_for_sampling(decompose_vrzz(c.theta)) for c in cuts]
     fragments = []
-    for combo in itertools.product(*groups):
-        weight = 1.0
-        per_cut = []
-        labels = []
-        for k, (cut, inst) in enumerate(zip(cuts, combo)):
-            weight *= inst.weight
-            per_cut.append(inst.insertion_gates(cut.qubit_a, cut.qubit_b, k))
-            labels.append(inst.kind if inst.rz_angle is None else f"{inst.kind}({inst.rz_angle:+.6f})")
-        fragments.append(SampledFragment(weight, _insert_for_cuts(circuit, cuts, per_cut, n_clbits),
-                                         labels=tuple(labels)))
+    for combo in itertools.product(*(options_for(decompose_vrzz(c.theta)) for c in cuts)):
+        weight, keeps, per_cut = 1.0, [], []
+        for k, (cut, option) in enumerate(zip(cuts, combo)):
+            gates, cut_keeps = option.realize(cut.qubit_a, cut.qubit_b, k)
+            weight *= option.weight
+            keeps += cut_keeps
+            per_cut.append(gates)
+        out = circuit
+        for cut, gates in reversed(list(zip(cuts, per_cut))):  # back to front keeps positions valid
+            out = out.with_inserted(cut.position, gates, n_clbits=n_clbits)
+        fragments.append(SampledFragment(weight, out, tuple(keeps), combo))
     return fragments
 
 
+def build_grouped_fragments(circuit: Circuit, cuts) -> list[SampledFragment]:
+    """All 6^m signed-instrument circuits for a cut circuit; no cuts gives the circuit itself."""
+    return _build_fragments(circuit, cuts, group_for_sampling)
+
+
 def build_enumerated_fragments(circuit: Circuit, cuts) -> list[SampledFragment]:
-    """All 10^m per-term sampling circuits.
+    """All 10^m per-term sampling circuits; no cuts gives the circuit itself.
 
     Projector sides become plain mid-circuit measurements plus a keep rule;
     rotation and Pauli sides become RZ gates.  Each cross term carries the
     operator-norm scale 8 folded into its weight.
     """
-    cuts = _check_cuts(circuit, cuts)
-    n_clbits = max(circuit.n_clbits, len(cuts))
-    term_lists = [decompose_vrzz(c.theta) for c in cuts]
-    fragments = []
-    for combo in itertools.product(*term_lists):
-        weight = 1.0
-        per_cut = []
-        keeps = []
-        labels = []
-        for k, (cut, term) in enumerate(zip(cuts, combo)):
-            gates, scale = [], 1.0
-            for qubit, (side, alpha) in zip((cut.qubit_a, cut.qubit_b), term.sides()):
-                side_gates, side_scale, keep = _SIDES[side].realize(qubit, alpha, k)
-                gates += side_gates
-                scale *= side_scale
-                if keep is not None:
-                    keeps.append(keep)
-            weight *= term.coefficient * scale
-            per_cut.append(gates)
-            labels.append(f"{term.family}[{op_pair_label(term)}]")
-        fragments.append(SampledFragment(weight, _insert_for_cuts(circuit, cuts, per_cut, n_clbits),
-                                         keep_rules=tuple(keeps), labels=tuple(labels)))
-    return fragments
+    return _build_fragments(circuit, cuts, lambda terms: [CutOption(t) for t in terms])
 
 
 def op_pair_label(term: QpdTerm) -> str:
@@ -421,34 +423,29 @@ def op_pair_label(term: QpdTerm) -> str:
     return ",".join(side if alpha is None else f"{side}({alpha:+d})" for side, alpha in term.sides())
 
 
+def _enumerated_entry(frag: SampledFragment) -> dict:
+    terms = [o.term for o in frag.options]
+    return {"families": [t.family for t in terms], "alphas": [[t.alpha_a, t.alpha_b] for t in terms],
+            "coefficient": math.prod(t.coefficient for t in terms), "weight": frag.weight,
+            "keep_rules": [list(r) for r in frag.keep_rules]}
+
+
+def _grouped_entry(frag: SampledFragment) -> dict:
+    return {"families": [o.kind if o.rz_angle is None else f"{o.kind}({o.rz_angle:+.6f})" for o in frag.options],
+            "weight": frag.weight}
+
+
 def fragment_manifest(circuit: Circuit, cuts, mode: str = "enumerated") -> dict:
     """JSON-ready description of every fragment circuit for external runners."""
     cuts = _check_cuts(circuit, cuts)
     if mode == "enumerated":
-        fragments = build_enumerated_fragments(circuit, cuts)
-        term_lists = [decompose_vrzz(c.theta) for c in cuts]
-        combos = list(itertools.product(*term_lists))
-        entries = []
-        for i, (frag, combo) in enumerate(zip(fragments, combos)):
-            entries.append({
-                "index": i,
-                "families": [t.family for t in combo],
-                "alphas": [[t.alpha_a, t.alpha_b] for t in combo],
-                "coefficient": math.prod(t.coefficient for t in combo),
-                "weight": frag.weight,
-                "keep_rules": [list(r) for r in frag.keep_rules],
-                "circuit": circuit_to_text(frag.circuit),
-            })
+        fragments, describe = build_enumerated_fragments(circuit, cuts), _enumerated_entry
     elif mode == "grouped":
-        fragments = build_grouped_fragments(circuit, cuts)
-        entries = [{
-            "index": i,
-            "families": list(frag.labels),
-            "weight": frag.weight,
-            "circuit": circuit_to_text(frag.circuit),
-        } for i, frag in enumerate(fragments)]
+        fragments, describe = build_grouped_fragments(circuit, cuts), _grouped_entry
     else:
         raise ValueError(f"unknown manifest mode {mode!r}")
+    entries = [{"index": i, **describe(frag), "circuit": circuit_to_text(frag.circuit)}
+               for i, frag in enumerate(fragments)]
     return {
         "mode": mode,
         "n_qubits": circuit.n_qubits,
@@ -508,6 +505,6 @@ def evaluate_simplified_exact(circuit: Circuit, cut: CutSite, simplified: Simpli
                               observables: list[PauliObservable], noise=None) -> list[float]:
     """Raw values of a simplified fragment: scale * classical factor * CPTP run."""
     realized = realize_simplified(circuit, cut, simplified)
-    rho = apply_gates_density(DensityMatrix.zero(realized.n_qubits), realized.gates, noise)
+    rho = run_density(realized, noise)
     k = simplified.scale * simplified.classical_factor
     return [k * expectation(rho, obs) for obs in observables]

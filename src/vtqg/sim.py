@@ -590,7 +590,7 @@ def sample_shots(circuit: Circuit, n_shots: int, seed: int,
         raise ValueError(f"n_shots must be an integer, got {n_shots!r}")
     if n_shots < 1:
         raise ValueError("n_shots must be positive")
-    if not isinstance(seed, int) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ValueError("seed must be a non-negative integer")
     n = circuit.n_qubits
     basis = "Z" * n if basis is None else str(basis)

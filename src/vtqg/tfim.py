@@ -58,8 +58,9 @@ class TfimParams:
 
     def __post_init__(self):
         for name in ("n_qubits", "n_steps"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_qubits < 2:
             raise ValueError("the ring needs at least two qubits")
         if not all(math.isfinite(v) for v in (self.h, self.J, self.dt)):

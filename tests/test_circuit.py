@@ -293,3 +293,10 @@ class TestCouplingMapJson:
     def test_bad_vertex_rejected(self):
         with pytest.raises(ValueError):
             CouplingMap(2, frozenset({(0, 5)}))
+
+    @pytest.mark.parametrize("text,field", [('{"edges": [[0, 1]]}', "'n'"), ('{"n": 2}', "'edges'"),
+                                            ('{"n": 2, "edges": [[0]]}', "'edges'"),
+                                            ('[[0, 1]]', "'n' and 'edges'")])
+    def test_malformed_json_names_the_field(self, text, field):
+        with pytest.raises(ValueError, match=field):
+            CouplingMap.from_json(text)

@@ -16,6 +16,15 @@ class TestDecompose:
         assert code == 0 and err == ""
         assert "PROJ_ROT" in out and "gamma" in out
         assert "2.4164770861" in out
+        grouped = out.split("grouped instruments")[1].splitlines()[1:]
+        assert grouped == [
+            "  II         weight=+0.8529866025",
+            "  ZZ         weight=+0.1470133975",
+            "  MEAS_ROT   weight=+0.3541192715  rz=-1.570796",
+            "  MEAS_ROT   weight=-0.3541192715  rz=+1.570796",
+            "  ROT_MEAS   weight=+0.3541192715  rz=-1.570796",
+            "  ROT_MEAS   weight=-0.3541192715  rz=+1.570796",
+        ]
 
     def test_bad_theta_fails(self, capsys):
         code, out, err = run_cli(capsys, "decompose", "--theta", "nan")

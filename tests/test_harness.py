@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from vtqg.errors import ResourceLimitError
 from vtqg.harness import (
     CSV_COLUMNS,
+    RUN_VARIANTS,
     ExperimentConfig,
     ResultRecord,
     default_params,
@@ -68,6 +70,8 @@ class TestConfig:
             small_config(repetitions=0)
         with pytest.raises(ValueError):
             small_config(seed=-4)
+        with pytest.raises(ValueError, match="seed"):
+            small_config(seed=True)
         with pytest.raises(ValueError):
             small_config(shot_allocation="equal")
         with pytest.raises(ValueError):
@@ -173,6 +177,13 @@ class TestRunExperiment:
         for a, b in zip(base, flipped):
             for name in ("sx", "sy", "sz", "mag"):
                 assert abs(getattr(b, name) - (1 - 2 * f) * getattr(a, name)) < 1e-12, (a.variant, name)
+
+    @pytest.mark.parametrize("variant", RUN_VARIANTS)
+    def test_density_cap_applies_to_every_variant(self, variant):
+        # 11 qubits is past the density cap; cut variants must refuse it as routed does
+        config = small_config(params=TfimParams(11, 0.786, 0.787, 0.5, 1), variants=(variant,), repetitions=1)
+        with pytest.raises(ResourceLimitError, match="density cap"):
+            run_experiment(config)
 
     def test_noise_ordering_across_sizes(self):
         gaps = []

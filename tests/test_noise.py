@@ -22,7 +22,7 @@ class TestNoiseModelValidation:
         assert model.pet_scaling == PET_LINEAR
 
     @pytest.mark.parametrize("field,value", [("p1", -0.1), ("p2", 1.5), ("reset_error", 2.0),
-                                             ("readout_flip", -1e-9)])
+                                             ("readout_flip", -1e-9), ("p1", True)])
     def test_probability_ranges(self, field, value):
         with pytest.raises(ValueError):
             NoiseModel(**{field: value})

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vtqg.circuit import Circuit, circuit_from_text, rx, rzz
-from vtqg.errors import PreconditionError
+from vtqg.circuit import Circuit, circuit_from_text, measure_z, rx, rz, rzz
+from vtqg.errors import PreconditionError, ResourceLimitError
 from vtqg.qpd import (
     CROSS_TERM_SCALE,
     CutSite,
@@ -41,6 +41,7 @@ from vtqg.sim import (
     PauliObservable,
     apply_gates_density,
     expectation,
+    run_density,
     run_statevector,
     sample_shots,
 )
@@ -238,6 +239,25 @@ class TestGrouping:
                          (KIND_MEAS_ROT, -math.pi / 2), (KIND_MEAS_ROT, math.pi / 2),
                          (KIND_ROT_MEAS, -math.pi / 2), (KIND_ROT_MEAS, math.pi / 2)]
 
+    def test_signed_gates_come_from_the_term_table(self):
+        # the terms whose projector sign is +1, each projector pair one signed measurement
+        options = group_for_sampling(decompose_vrzz(0.787))
+        half = math.pi / 2
+        assert [(o.term.family, o.term.alpha_a, o.term.alpha_b) for o in options] == [
+            (FAMILY_II, None, None), (FAMILY_ZZ, None, None),
+            (FAMILY_PROJ_ROT, 1, 1), (FAMILY_PROJ_ROT, 1, -1),
+            (FAMILY_ROT_PROJ, 1, 1), (FAMILY_ROT_PROJ, -1, 1)]
+        assert [o.realize(2, 5, 3) for o in options] == [
+            ([], []),
+            ([rz(math.pi, 2), rz(math.pi, 5)], []),
+            ([measure_z(2, 3, signed=True), rz(-half, 5)], []),
+            ([measure_z(2, 3, signed=True), rz(+half, 5)], []),
+            ([rz(-half, 2), measure_z(5, 3, signed=True)], []),
+            ([rz(+half, 2), measure_z(5, 3, signed=True)], []),
+        ]
+        assert [o.weight for o in options] == [
+            o.term.coefficient * scale for o, scale in zip(options, (1.0, 1.0, 8.0, 8.0, 8.0, 8.0))]
+
     def test_malformed_lists_rejected(self):
         terms = decompose_vrzz(0.7)
         with pytest.raises(ValueError):
@@ -256,7 +276,8 @@ class TestGrouping:
         rho = oracles.random_density(2, rng)
         total = np.zeros((4, 4), dtype=complex)
         for g in groups:
-            gates = g.insertion_gates(0, 1, 0)
+            gates, keeps = g.realize(0, 1, 0)
+            assert keeps == []
             out = apply_gates_density(DensityMatrix(2, rho), gates)
             total += g.weight * out.mat
         assert np.linalg.norm(total - oracles.rzz_conjugation(theta, rho)) < 1e-10
@@ -273,7 +294,7 @@ class TestGrouping:
         shots = 100_000
         est, var = 0.0, 0.0
         for k, g in enumerate(group_for_sampling(decompose_vrzz(theta))):
-            frag = base.with_inserted(len(base.gates), g.insertion_gates(0, 1, 0))
+            frag = base.with_inserted(len(base.gates), g.realize(0, 1, 0)[0])
             out = sample_shots(frag, shots, seed=100 + k)
             vals = out.sign * (1.0 - 2.0 * out.bits[:, 0]) * (1.0 - 2.0 * out.bits[:, 1])
             est += g.weight * vals.mean()
@@ -416,6 +437,37 @@ class TestFragmentPrograms:
 
 def bloch_observables(n):
     return [PauliObservable.single(n, q, p) for p in "XYZ" for q in range(n)]
+
+
+class TestZeroCuts:
+    # an uncut circuit is the zero-cut case of every fragment builder and of exact mode
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_builders_return_the_circuit_itself(self, n):
+        build = build_trotter_circuit(TfimParams(n, 0.786, 0.787, 0.5, 1), "routed_original")
+        assert build.cuts == ()
+        for builder in (build_grouped_fragments, build_enumerated_fragments):
+            fragments = builder(build.circuit, build.cuts)
+            assert len(fragments) == 1
+            assert fragments[0].circuit is build.circuit
+            assert fragments[0].weight == 1.0 and fragments[0].keep_rules == ()
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_exact_is_one_density_run(self, n):
+        build = build_trotter_circuit(TfimParams(n, 0.786, 0.787, 0.5, 1), "routed_original")
+        noise = NoiseModel()
+        obs = bloch_observables(n)
+        values, count = run_enumerated_exact(build.circuit, (), obs, noise)
+        rho = run_density(build.circuit, noise)
+        assert count == 1
+        assert values == [expectation(rho, o) for o in obs]
+
+    def test_density_cap_checked_for_cut_circuits(self):
+        build = build_trotter_circuit(TfimParams(11, 0.786, 0.787, 0.5, 1), "vtqg")
+        obs = [PauliObservable.single(11, 0, "Z")]
+        with pytest.raises(ResourceLimitError, match="density cap"):
+            run_enumerated_exact(build.circuit, build.cuts, obs)
+        with pytest.raises(ResourceLimitError, match="density cap"):
+            evaluate_term_exact(build.circuit, build.cuts[0], decompose_vrzz(build.cuts[0].theta)[2], obs)
 
 
 class TestCollapsedExact:

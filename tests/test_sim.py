@@ -277,6 +277,8 @@ class TestSampling:
     def test_seed_validation(self):
         with pytest.raises(ValueError):
             sample_shots(Circuit(1), 10, seed=-1)
+        with pytest.raises(ValueError, match="seed"):
+            sample_shots(Circuit(1), 10, seed=True)
         with pytest.raises(ValueError):
             sample_shots(Circuit(1), 0, seed=1)
 

@@ -49,6 +49,8 @@ class TestParams:
             TfimParams(4.0, 0.5, 0.5, 0.5)
         with pytest.raises(ValueError, match="n_steps"):
             TfimParams(4, 0.5, 0.5, 0.5, n_steps=1.5)
+        with pytest.raises(ValueError, match="n_steps"):
+            TfimParams(4, 0.5, 0.5, 0.5, n_steps=True)
 
     def test_angle_wiring(self):
         p = params(8)
