@@ -69,8 +69,9 @@ class ExperimentConfig:
             raise ValueError("sampling mode needs shots > 0")
         if self.repetitions < 1:
             raise ValueError("at least one repetition is required")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
+        object.__setattr__(self, "seed", int(self.seed))  # a numpy integer would overflow the stream keys
         if self.shot_allocation not in ALLOCATIONS:
             raise ValueError(f"shot_allocation must be one of {ALLOCATIONS}")
         if self.sampling_strategy not in STRATEGIES:

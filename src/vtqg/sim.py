@@ -590,9 +590,12 @@ def sample_shots(circuit: Circuit, n_shots: int, seed: int,
         raise ValueError(f"n_shots must be an integer, got {n_shots!r}")
     if n_shots < 1:
         raise ValueError("n_shots must be positive")
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValueError("seed must be a non-negative integer")
+    seed = int(seed)  # _shot_keys needs Python's unbounded integers
     n = circuit.n_qubits
+    if n > STATEVECTOR_QUBIT_CAP:  # every shot holds 2^n amplitudes
+        raise ResourceLimitError(f"{n} qubits exceeds statevector cap {STATEVECTOR_QUBIT_CAP}")
     basis = "Z" * n if basis is None else str(basis)
     if len(basis) != n or any(ch not in "XYZ" for ch in basis):
         raise ValueError(f"basis must be one of X/Y/Z per qubit, got {basis!r}")

@@ -32,7 +32,7 @@ import numpy as np
 
 from .circuit import Circuit, CouplingMap, Layout, decompose_rzz_rzx, route_ring_closure, rx, rzz
 from .errors import ResourceLimitError
-from .qpd import CutSite, decomposition_angle
+from .qpd import CutSite, decomposition_angle, run_enumerated_exact
 from .sim import (
     STATEVECTOR_QUBIT_CAP,
     DensityMatrix,
@@ -147,10 +147,19 @@ def pauli_components(state: StateVector | DensityMatrix,
     return out[0], out[1], out[2]
 
 
-def exact_reference(params: TfimParams, max_qubits: int = STATEVECTOR_QUBIT_CAP) -> float:
-    """Noiseless magnetization of the ideal circuit from |0...0>; the in-package oracle."""
-    if params.n_qubits > max_qubits:
-        raise ResourceLimitError(f"{params.n_qubits} qubits exceeds statevector cap {max_qubits}")
+def exact_reference(params: TfimParams, max_qubits: int | None = None) -> float:
+    """Noiseless magnetization of the ideal circuit from |0...0>; the in-package oracle.
+
+    Up to STATEVECTOR_QUBIT_CAP qubits it is a statevector run; past that, the
+    noiseless light-cone evaluation of `run_enumerated_exact`.  A ring larger
+    than `max_qubits`, if given, is refused.
+    """
+    n = params.n_qubits
+    if max_qubits is not None and n > max_qubits:
+        raise ResourceLimitError(f"{n} qubits exceeds reference cap {max_qubits}")
     build = build_trotter_circuit(params, "ideal")
-    psi = run_statevector(build.circuit, max_qubits=max_qubits)
-    return magnetization(*pauli_components(psi))
+    if n <= STATEVECTOR_QUBIT_CAP:
+        return magnetization(*pauli_components(run_statevector(build.circuit)))
+    obs = [PauliObservable.single(n, q, p) for p in "XYZ" for q in range(n)]
+    values, _ = run_enumerated_exact(build.circuit, (), obs)
+    return magnetization(values[:n], values[n:2 * n], values[2 * n:])

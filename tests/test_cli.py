@@ -64,6 +64,17 @@ class TestExperiment:
         assert records[0].fragments == 10
         assert "vtqg" in out and "wrote 2 records" in out
 
+    def test_exact_mode_past_the_density_cap(self, capsys, tmp_path):
+        # 24 qubits: light cones in exact mode, and a reference past the statevector cap
+        out_path = tmp_path / "results.csv"
+        code, out, err = run_cli(capsys, "experiment", "--qubits", "24", "--mode", "exact", "--reps", "1",
+                                 "--out", str(out_path))
+        assert code == 0, err
+        records = read_results(out_path)
+        assert [r.variant for r in records] == ["routed_original", "vtqg", "vtqg_pet"]
+        assert all(r.n_qubits == 24 and 0.0 < r.mag < r.ideal for r in records)
+        assert "wrote 3 records" in out
+
     def test_config_file_with_overrides(self, capsys, tmp_path):
         config = {
             "params": {"n_qubits": 6, "h": 0.786, "J": 0.787, "dt": 0.5, "n_steps": 1},

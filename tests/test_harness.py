@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from vtqg.errors import ResourceLimitError
@@ -15,8 +16,11 @@ from vtqg.harness import (
     report_summary,
     run_experiment,
 )
+from vtqg import qpd
+from vtqg.circuit import rzz
 from vtqg.noise import NoiseModel
-from vtqg.tfim import TfimParams
+from vtqg.sim import DensityMatrix, apply_gates_density
+from vtqg.tfim import TfimParams, build_trotter_circuit, magnetization, pauli_components
 
 import oracles
 
@@ -72,6 +76,12 @@ class TestConfig:
             small_config(seed=-4)
         with pytest.raises(ValueError, match="seed"):
             small_config(seed=True)
+        sampled = dict(mode="sampling", shots=64, noise=NoiseModel())
+        numpy_seed = small_config(seed=np.int64(3), **sampled)
+        assert type(numpy_seed.seed) is int and json.dumps(numpy_seed.to_dict())
+        strip = lambda r: {k: v for k, v in r.__dict__.items() if k != "wall_ms"}
+        assert (list(map(strip, run_experiment(numpy_seed)))
+                == list(map(strip, run_experiment(small_config(seed=3, **sampled)))))
         with pytest.raises(ValueError):
             small_config(shot_allocation="equal")
         with pytest.raises(ValueError):
@@ -178,11 +188,44 @@ class TestRunExperiment:
             for name in ("sx", "sy", "sz", "mag"):
                 assert abs(getattr(b, name) - (1 - 2 * f) * getattr(a, name)) < 1e-12, (a.variant, name)
 
+    def test_readout_flip_on_light_cones(self, monkeypatch):
+        # at n = 8 exact mode runs light cones; they carry readout_flip as the full run does
+        cone_runs = []
+        real = qpd._evaluate_cones
+        monkeypatch.setattr(qpd, "_evaluate_cones", lambda *a: cone_runs.append(1) or real(*a))
+        f = 0.2
+        noise = NoiseModel(readout_flip=f)
+        params = TfimParams(8, 0.786, 0.787, 0.5, 1)
+        for r in run_experiment(small_config(params=params, repetitions=1, noise=noise)):
+            build = build_trotter_circuit(params, r.variant)
+            rho, start = DensityMatrix.zero(8), 0
+            for cut in build.cuts:  # the full density run, each cut a noiseless RZZ
+                rho = apply_gates_density(rho, build.circuit.gates[start:cut.position], noise)
+                rho = apply_gates_density(rho, [rzz(-cut.theta, cut.qubit_a, cut.qubit_b)])
+                start = cut.position
+            rho = apply_gates_density(rho, build.circuit.gates[start:], noise)
+            comps = [[(1 - 2 * f) * v for v in c] for c in pauli_components(rho, build.layout)]
+            assert max(abs(a - float(np.mean(c))) for a, c in zip((r.sx, r.sy, r.sz), comps)) < 1e-12
+            assert abs(r.mag - magnetization(*comps)) < 1e-12
+        assert len(cone_runs) == 3
+
     @pytest.mark.parametrize("variant", RUN_VARIANTS)
-    def test_density_cap_applies_to_every_variant(self, variant):
-        # 11 qubits is past the density cap; cut variants must refuse it as routed does
+    def test_density_cap_applies_to_every_variant(self, variant, monkeypatch):
+        # 11 qubits is past the density cap: every variant runs on light cones
+        # of 3 qubits, and the cap applies to each cone
         config = small_config(params=TfimParams(11, 0.786, 0.787, 0.5, 1), variants=(variant,), repetitions=1)
-        with pytest.raises(ResourceLimitError, match="density cap"):
+        (record,) = run_experiment(config)
+        assert abs(record.mag - record.ideal) < 1e-9
+        monkeypatch.setattr(qpd, "DENSITY_QUBIT_CAP", 2)
+        with pytest.raises(ResourceLimitError, match="spans 3 qubits, which exceeds density cap 2"):
+            run_experiment(config)
+
+    def test_sampling_keeps_the_statevector_cap(self):
+        # exact mode and the reference run past 16 qubits; the sampler, which
+        # holds 2^n amplitudes per shot, still refuses them
+        config = small_config(params=TfimParams(17, 0.786, 0.787, 0.5, 1), mode="sampling", shots=1,
+                              variants=("vtqg",), repetitions=1)
+        with pytest.raises(ResourceLimitError, match="statevector cap"):
             run_experiment(config)
 
     def test_noise_ordering_across_sizes(self):

@@ -100,6 +100,8 @@ class TestDepolarize:
             depolarize(DensityMatrix.zero(1), (0,), 1.2)
         with pytest.raises(ValueError):
             depolarize(DensityMatrix.zero(1), (0,), -0.01)
+        with pytest.raises(ValueError):
+            depolarize(DensityMatrix.zero(1), (0,), True)
 
     def test_bad_qubits(self):
         with pytest.raises(ValueError):

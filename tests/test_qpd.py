@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vtqg.circuit import Circuit, circuit_from_text, measure_z, rx, rz, rzz
+from vtqg import qpd
+from vtqg.circuit import Circuit, circuit_from_text, cnot, measure_z, rx, rz, rzz
 from vtqg.errors import PreconditionError, ResourceLimitError
 from vtqg.qpd import (
     CROSS_TERM_SCALE,
@@ -462,10 +463,17 @@ class TestZeroCuts:
         assert values == [expectation(rho, o) for o in obs]
 
     def test_density_cap_checked_for_cut_circuits(self):
-        build = build_trotter_circuit(TfimParams(11, 0.786, 0.787, 0.5, 1), "vtqg")
-        obs = [PauliObservable.single(11, 0, "Z")]
+        # past the cap exact mode runs light cones, and the cap holds for each cone
+        params = TfimParams(11, 0.786, 0.787, 0.5, 1)
+        build = build_trotter_circuit(params, "vtqg")
+        obs = bloch_observables(11)
+        values, count = run_enumerated_exact(build.circuit, build.cuts, obs)
+        psi = run_statevector(build_trotter_circuit(params, "ideal").circuit)
+        assert count == 10
+        assert max(abs(v - expectation(psi, o)) for v, o in zip(values, obs)) < 1e-9
+        chain = Circuit(11, 0, tuple(cnot(q, q + 1) for q in range(10)))
         with pytest.raises(ResourceLimitError, match="density cap"):
-            run_enumerated_exact(build.circuit, build.cuts, obs)
+            run_enumerated_exact(chain, (), [PauliObservable.single(11, 10, "Z")])
         with pytest.raises(ResourceLimitError, match="density cap"):
             evaluate_term_exact(build.circuit, build.cuts[0], decompose_vrzz(build.cuts[0].theta)[2], obs)
 
@@ -516,6 +524,76 @@ class TestCollapsedExact:
         _, count = run_enumerated_exact(build.circuit, build.cuts, bloch_observables(4), NoiseModel())
         assert count == 10**steps
         assert len(calls) == steps + 1
+
+
+def cut_program(build):
+    """The program exact mode runs: the circuit's gates with each cut's full term sum."""
+    cuts = list(build.cuts)
+    return qpd._program(build.circuit, cuts, [[(t.coefficient, t) for t in decompose_vrzz(c.theta)] for c in cuts])
+
+
+def forced_cones(build, obs, noise):
+    """The light cones of every observable support, whatever the cost estimate would choose."""
+    return qpd._light_cones(build.circuit, cut_program(build), obs, noise, None)
+
+
+def stepwise_density(params, variant, noise):
+    """Full density states after each Trotter step, each cut reinstated as a noiseless RZZ."""
+    build = build_trotter_circuit(params, variant)
+    gates = build.circuit.gates
+    step_len = len(gates) // params.n_steps
+    cut_at = {c.position: c for c in build.cuts}
+    rho, start, states = DensityMatrix.zero(params.n_qubits), 0, []
+    for stop in sorted(set(cut_at) | {s * step_len for s in range(1, params.n_steps + 1)}):
+        rho = apply_gates_density(rho, gates[start:stop], noise)
+        start = stop
+        if stop % step_len == 0:
+            states.append(rho)
+        if stop in cut_at:
+            cut = cut_at[stop]
+            rho = apply_gates_density(rho, [rzz(-cut.theta, cut.qubit_a, cut.qubit_b)])
+    return build, states
+
+
+class TestLightCones:
+    @pytest.mark.parametrize("variant", ["routed_original", "vtqg", "vtqg_pet"])
+    @pytest.mark.parametrize("n", [4, 6, 8, 10])
+    def test_cones_equal_the_full_density_run(self, n, variant):
+        # one full run of the longest circuit gives the reference after every step
+        noise = NoiseModel()
+        longest = 1 if variant == "routed_original" else 3
+        full, states = stepwise_density(TfimParams(n, 0.786, 0.787, 0.5, longest), variant, noise)
+        obs = bloch_observables(n)
+        for steps, rho in enumerate(states, start=1):
+            build = build_trotter_circuit(TfimParams(n, 0.786, 0.787, 0.5, steps), variant)
+            assert build.circuit.gates == full.circuit.gates[:len(build.circuit.gates)]
+            values = qpd._evaluate_cones(forced_cones(build, obs, noise), obs, noise)
+            assert max(abs(v - expectation(rho, o)) for v, o in zip(values, obs)) < 1e-12, steps
+
+    @pytest.mark.parametrize("n", [8, 16, 64])
+    def test_widest_cone_is_two_wires_per_step_plus_one(self, n):
+        for variant in ("routed_original", "vtqg", "vtqg_pet"):
+            for steps in ((1,) if variant == "routed_original" else (1, 2, 3)):
+                build = build_trotter_circuit(TfimParams(n, 0.786, 0.787, 0.5, steps), variant)
+                cones = forced_cones(build, bloch_observables(n), NoiseModel())
+                assert len(cones) == n
+                assert max(width for *_, width, _ in cones) == 2 * steps + 1, (variant, steps)
+
+    def test_estimate_keeps_small_rings_on_the_full_run(self, monkeypatch):
+        cone_runs = []
+        real = qpd._evaluate_cones
+        monkeypatch.setattr(qpd, "_evaluate_cones", lambda *a: cone_runs.append(1) or real(*a))
+        variants = ("routed_original", "vtqg", "vtqg_pet")
+        configs = [(n, 1, v) for n in (4, 6, 8) for v in variants] + [(6, 2, v) for v in variants[1:]]
+        for n, steps, variant in configs:
+            build = build_trotter_circuit(TfimParams(n, 0.786, 0.787, 0.5, steps), variant)
+            run_enumerated_exact(build.circuit, build.cuts, bloch_observables(n), NoiseModel())
+        assert len(cone_runs) == 3  # the three n = 8 calls only
+
+    def test_measurements_take_the_full_run(self):
+        circuit = Circuit(11, 1, (rx(0.3, 0), measure_z(0, 0)))
+        with pytest.raises(ResourceLimitError, match="11 qubits exceeds density cap"):
+            run_enumerated_exact(circuit, (), [PauliObservable.single(11, 0, "Z")])
 
 
 class TestManifest:

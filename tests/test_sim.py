@@ -281,6 +281,12 @@ class TestSampling:
             sample_shots(Circuit(1), 10, seed=True)
         with pytest.raises(ValueError):
             sample_shots(Circuit(1), 0, seed=1)
+        c = Circuit(2, 1, (h(0), measure_z(0, 0), classically_controlled(x(1), 0), h(1)))
+        assert same_shots(sample_shots(c, 300, seed=np.int64(3)), sample_shots(c, 300, seed=3))
+
+    def test_statevector_cap(self):
+        with pytest.raises(ResourceLimitError, match="statevector cap"):
+            sample_shots(Circuit(17), 1, seed=0)
 
     def test_non_integer_shot_count_rejected(self):
         for bad in (2.5, 3.0, "4", True):
