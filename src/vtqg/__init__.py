@@ -55,6 +55,7 @@ from .sim import (
     Shots,
     StateVector,
     expectation,
+    expectations,
     run_density,
     run_statevector,
     sample_shots,

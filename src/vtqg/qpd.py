@@ -42,7 +42,7 @@ import numpy as np
 from .circuit import Circuit, Gate, GateKind, circuit_to_text, measure_z, reset, rz, x
 from .errors import PreconditionError, ResourceLimitError
 from .noise import depolarize
-from .sim import DENSITY_QUBIT_CAP, DensityMatrix, PauliObservable, apply_gates_density, expectation, run_density
+from .sim import DENSITY_QUBIT_CAP, DensityMatrix, PauliObservable, apply_gates_density, expectations, run_density
 
 FAMILY_II = "II"
 FAMILY_ZZ = "ZZ"
@@ -349,7 +349,7 @@ class _CutOp(NamedTuple):
     """The (weight, term) pairs of one cut, applied on qubits (a, b)."""
 
     qubits: tuple[int, int]
-    weighted_terms: list
+    weighted_terms: tuple
 
     def __call__(self, rho: DensityMatrix) -> DensityMatrix:
         return _apply_cut(rho, *self.qubits, self.weighted_terms)
@@ -369,7 +369,7 @@ def _program(circuit: Circuit, cuts: list[CutSite], weighted_terms) -> list:
     """The circuit's gates with the op of cut i, carrying weighted_terms[i], before gate cuts[i].position."""
     program = list(circuit.gates)
     for cut, pairs in reversed(list(zip(cuts, weighted_terms))):  # back to front keeps positions valid
-        program.insert(cut.position, _CutOp((cut.qubit_a, cut.qubit_b), pairs))
+        program.insert(cut.position, _CutOp((cut.qubit_a, cut.qubit_b), tuple(pairs)))
     return program
 
 
@@ -477,7 +477,7 @@ def _light_cones(circuit: Circuit, program: list, observables: list[PauliObserva
     for i, obs in enumerate(observables):
         if obs.n_qubits != n:
             raise ValueError(f"observable on {obs.n_qubits} qubits, state on {n}")
-        support = tuple(sorted({q for s, _ in obs.terms for q, ch in enumerate(s) if ch != "I"}))
+        support = obs.support
         if not support:
             return None
         groups.setdefault(support, []).append(i)
@@ -491,19 +491,42 @@ def _light_cones(circuit: Circuit, program: list, observables: list[PauliObserva
     return cones
 
 
+def _relabelled(op, slots) -> tuple:
+    """A key for a cone op as it runs on its slots, without building that op.
+
+    A gate runs by its kind, angle and pet flag (its noise strength depends
+    on no more; measurements, resets and classical control never reach a
+    cone), and a cut or noise op by its fields after `qubits`.
+    """
+    if isinstance(op, Gate):
+        return op.kind, op.angle, op.pet, slots
+    return type(op), *op[1:], slots
+
+
 def _evaluate_cones(cones: list, observables: list[PauliObservable], noise) -> list[float]:
-    """Every observable from the density run of its support's light cone; the cap applies per cone."""
+    """Every observable from the density run of its support's light cone; the cap applies per cone.
+
+    Cones with the same relabelled program share one density run: on a
+    translation-symmetric ring most of them are the same computation.
+    """
     for support, _, width, _ in cones:
         if width > DENSITY_QUBIT_CAP:
             raise ResourceLimitError(f"the light cone of qubits {list(support)} spans {width} qubits, "
                                      f"which exceeds density cap {DENSITY_QUBIT_CAP}")
+    same_program: dict[tuple, list] = {}
+    for cone in cones:
+        _, _, width, reduced = cone
+        same_program.setdefault((width, tuple(_relabelled(op, slots) for op, slots in reduced)), []).append(cone)
     values = [0.0] * len(observables)
-    for support, indices, width, reduced in cones:
+    for group in same_program.values():
+        _, _, width, reduced = group[0]
         rho = _run_program(width, [replace(op, qubits=slots) if isinstance(op, Gate) else op._replace(qubits=slots)
                                    for op, slots in reduced], noise)
-        for i in indices:
-            terms = tuple(("".join(s[q] for q in support).ljust(width, "I"), w) for s, w in observables[i].terms)
-            values[i] = expectation(rho, PauliObservable(terms))
+        for support, indices, _, _ in group:
+            local = [PauliObservable(tuple(("".join(s[q] for q in support).ljust(width, "I"), w)
+                                           for s, w in observables[i].terms)) for i in indices]
+            for i, value in zip(indices, expectations(rho, local)):
+                values[i] = value
     return values
 
 
@@ -513,10 +536,12 @@ def run_enumerated_exact(circuit: Circuit, cuts, observables: list[PauliObservab
 
     By linearity the sum is one channel per cut, so each segment between cuts
     is evolved once.  The observables on each distinct support are evaluated
-    on that support's light cone instead, one density run per cone, when the
-    cones are estimated cheaper than the full run or the circuit is past the
-    density cap, which then applies to each cone.  Returns the values and the
-    number of term combinations the sum covers, 10^m.
+    on that support's light cone instead, one density run per distinct cone
+    program, when the cones are estimated cheaper than the full run or the
+    circuit is past the density cap, which then applies to each cone.  Either
+    way the observables of one support are read from its marginal, traced out
+    once.  Returns the values and the number of term combinations the sum
+    covers, 10^m.
     """
     cuts = _check_cuts(circuit, cuts)
     term_lists = [decompose_vrzz(c.theta) for c in cuts]
@@ -527,8 +552,12 @@ def run_enumerated_exact(circuit: Circuit, cuts, observables: list[PauliObservab
                          _cost(n, program) if n <= DENSITY_QUBIT_CAP else None)
     if cones is not None:
         return _evaluate_cones(cones, observables, noise), count
-    rho = _run_program(n, program, noise)
-    return [expectation(rho, obs) for obs in observables], count
+    return expectations(_run_program(n, program, noise), observables), count
+
+
+# The most cuts a fragment builder takes: m cuts make 6^m grouped or 10^m
+# enumerated fragment circuits.  Exact mode builds none of them.
+MAX_FRAGMENT_CUTS = 4
 
 
 @dataclass(frozen=True)
@@ -548,11 +577,19 @@ class SampledFragment:
 
 
 def _build_fragments(circuit: Circuit, cuts, options_for) -> list[SampledFragment]:
-    """One fragment per combination of per-cut options (classical bit k serves cut k)."""
+    """One fragment per combination of per-cut options (classical bit k serves cut k).
+
+    Every combination is built, so more than MAX_FRAGMENT_CUTS cuts raise
+    ResourceLimitError.
+    """
     cuts = _check_cuts(circuit, cuts)
+    options = [options_for(decompose_vrzz(c.theta)) for c in cuts]
+    if len(cuts) > MAX_FRAGMENT_CUTS:
+        raise ResourceLimitError(f"{len(cuts)} cuts would build {len(options[0])}^{len(cuts)} fragment "
+                                 f"circuits (cap is {MAX_FRAGMENT_CUTS} cuts)")
     n_clbits = max(circuit.n_clbits, len(cuts))
     fragments = []
-    for combo in itertools.product(*(options_for(decompose_vrzz(c.theta)) for c in cuts)):
+    for combo in itertools.product(*options):
         weight, keeps, per_cut = 1.0, [], []
         for k, (cut, option) in enumerate(zip(cuts, combo)):
             gates, cut_keeps = option.realize(cut.qubit_a, cut.qubit_b, k)
@@ -631,7 +668,7 @@ def evaluate_term_exact(circuit: Circuit, cut: CutSite, term: QpdTerm,
                         observables: list[PauliObservable], noise=None) -> list[float]:
     """Raw (pre-coefficient) values of one term's fragment, exactly."""
     rho = _run_program(circuit.n_qubits, _program(circuit, _check_cuts(circuit, [cut]), [[(1.0, term)]]), noise)
-    return [expectation(rho, obs) for obs in observables]
+    return expectations(rho, observables)
 
 
 def realize_simplified(circuit: Circuit, cut: CutSite, simplified: SimplifiedTerm) -> Circuit:
@@ -670,4 +707,4 @@ def evaluate_simplified_exact(circuit: Circuit, cut: CutSite, simplified: Simpli
     realized = realize_simplified(circuit, cut, simplified)
     rho = run_density(realized, noise)
     k = simplified.scale * simplified.classical_factor
-    return [k * expectation(rho, obs) for obs in observables]
+    return [k * v for v in expectations(rho, observables)]

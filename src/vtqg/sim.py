@@ -44,6 +44,7 @@ _MAT_1Q = {
     GateKind.H: _SQ2 * np.array([[1, 1], [1, -1]], dtype=complex),
 }
 _PAULI = {
+    "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
@@ -199,16 +200,16 @@ def depolarize_tensor(rho_t: np.ndarray, qubits: tuple[int, ...], p: float, n: i
     """(1-p) rho + p (I/2^k (x) Tr_qubits rho) on the participating qubits."""
     if p == 0.0:
         return rho_t
-    traced = _partial_trace(rho_t, qubits, n)
-    mixed = np.zeros_like(rho_t)
     k = len(qubits)
+    share = p * (_partial_trace(rho_t, qubits, n) / 2**k)
+    out = (1.0 - p) * rho_t  # a new array: the caller's state may be a view
     for bits in itertools.product((0, 1), repeat=k):
         idx = [slice(None)] * (2 * n)
         for q, b in zip(qubits, bits):
             idx[q] = b
             idx[n + q] = b
-        mixed[tuple(idx)] = traced / 2**k
-    return (1.0 - p) * rho_t + p * mixed
+        out[tuple(idx)] += share
+    return out
 
 
 # --- states ---------------------------------------------------------------
@@ -269,8 +270,15 @@ class PauliObservable:
     def n_qubits(self) -> int:
         return len(self.terms[0][0])
 
+    @property
+    def support(self) -> tuple[int, ...]:
+        """The qubits some term acts on with X, Y or Z, in ascending order."""
+        return tuple(sorted({q for s, _ in self.terms for q, ch in enumerate(s) if ch != "I"}))
+
     @classmethod
     def single(cls, n: int, qubit: int, pauli: str, weight: float = 1.0) -> "PauliObservable":
+        if pauli not in ("X", "Y", "Z") or not 0 <= qubit < n:
+            raise ValueError(f"need one of X, Y, Z on a qubit in [0, {n}), got {pauli!r} on {qubit!r}")
         s = "".join(pauli if q == qubit else "I" for q in range(n))
         return cls(((s, weight),))
 
@@ -428,6 +436,45 @@ def expectation(state: StateVector | DensityMatrix, obs: PauliObservable) -> flo
     return total
 
 
+def expectations(state: StateVector | DensityMatrix, observables) -> list[float]:
+    """`expectation` of each observable; those on one support share its marginal, computed once.
+
+    A density matrix's marginal is the partial trace `expectation` takes, and
+    a wire's letters are read from it as `expectation` reads them, so
+    single-qubit values are bit-identical to it.  A statevector's marginal is
+    the Gram matrix of its amplitudes grouped by the support's index: for one
+    wire, of the wire's two amplitude halves.
+    """
+    n = state.n_qubits
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, obs in enumerate(observables):
+        if obs.n_qubits != n:
+            raise ValueError(f"observable on {obs.n_qubits} qubits, state on {n}")
+        groups.setdefault(obs.support, []).append(i)
+    values = [0.0] * len(observables)
+    for support, indices in groups.items():
+        k = len(support)
+        if isinstance(state, StateVector):
+            blocks = np.moveaxis(state.amps.reshape([2] * n), support, range(k)).reshape(2**k, -1)
+            t = np.array([[np.sum(a * b.conj()) for b in blocks] for a in blocks])  # pairwise sums
+        else:
+            others = tuple(q for q in range(n) if q not in support)
+            t = _partial_trace(state.tensor(), others, n) if others else state.tensor()
+        t = t.reshape(2**k, 2**k)
+        if k == 1:  # one 2x2 product per letter, shared by the wire's observables
+            q = support[0]
+            letters = {s[q] for i in indices for s, _ in observables[i].terms}
+            read = {ch: float(np.trace(_PAULI[ch] @ t).real) for ch in letters}
+            for i in indices:
+                values[i] = sum(w * read[s[q]] for s, w in observables[i].terms)
+            continue
+        marginal = DensityMatrix(k, t)
+        for i in indices:
+            terms = tuple(("".join(s[q] for q in support), w) for s, w in observables[i].terms)
+            values[i] = expectation(marginal, PauliObservable(terms))
+    return values
+
+
 # --- shot sampling -------------------------------------------------------------
 
 _BASIS_ROT = {
@@ -436,7 +483,7 @@ _BASIS_ROT = {
     # Rz(-pi/2) then H: maps the Y eigenbasis onto the Z basis.
     "Y": _MAT_1Q[GateKind.H] @ np.array([[1, 0], [0, -1j]], dtype=complex),
 }
-_PAULI_STACK = np.stack([np.eye(2, dtype=complex), _PAULI["X"], _PAULI["Y"], _PAULI["Z"]])
+_PAULI_STACK = np.stack([_PAULI[ch] for ch in "IXYZ"])
 
 # Amplitudes the sampler holds at once (16 MiB of complex128): shots run in
 # blocks of _BLOCK_AMPLITUDES >> n_qubits, which bounds memory at any n_shots.

@@ -38,12 +38,11 @@ from .sim import (
     DensityMatrix,
     PauliObservable,
     StateVector,
-    expectation,
+    expectations,
     run_statevector,
 )
 
 VARIANTS = ("ideal", "routed_original", "vtqg", "vtqg_pet")
-DEFAULT_MAX_CUTS = 4
 
 
 @dataclass(frozen=True)
@@ -91,18 +90,11 @@ class TrotterBuild:
 
 
 def build_trotter_circuit(params: TfimParams, variant: str,
-                          coupling: CouplingMap | None = None,
-                          max_cuts: int = DEFAULT_MAX_CUTS) -> TrotterBuild:
+                          coupling: CouplingMap | None = None) -> TrotterBuild:
     """Assemble one of the four circuit variants for the given parameters."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     n = params.n_qubits
-    if variant == "vtqg" or variant == "vtqg_pet":
-        if params.n_steps > max_cuts:
-            raise ResourceLimitError(
-                f"{params.n_steps} virtual gates would enumerate 10^{params.n_steps} "
-                f"fragments (cap is {max_cuts} cuts)"
-            )
     if variant == "routed_original" and params.n_steps != 1:
         raise ValueError("routed_original supports a single Trotter step; "
                          "the post-routing layout breaks later ring edges")
@@ -138,12 +130,15 @@ def magnetization(sx, sy, sz) -> float:
 
 def pauli_components(state: StateVector | DensityMatrix,
                      layout: Layout | None = None) -> tuple[list[float], list[float], list[float]]:
-    """Per-qubit <X>, <Y>, <Z> in logical order (read through `layout` if routed)."""
+    """Per-qubit <X>, <Y>, <Z> in logical order (read through `layout` if routed).
+
+    A wire's three values come from its one 2x2 marginal (see `sim.expectations`).
+    """
     n = state.n_qubits
-    out = []
-    for pauli in "XYZ":
-        per_wire = [expectation(state, PauliObservable.single(n, q, pauli)) for q in range(n)]
-        out.append(layout.logical_values(per_wire) if layout is not None else per_wire)
+    values = expectations(state, [PauliObservable.single(n, q, p) for p in "XYZ" for q in range(n)])
+    out = [values[j * n:(j + 1) * n] for j in range(3)]
+    if layout is not None:
+        out = [layout.logical_values(c) for c in out]
     return out[0], out[1], out[2]
 
 

@@ -20,7 +20,7 @@ from vtqg import qpd
 from vtqg.circuit import rzz
 from vtqg.noise import NoiseModel
 from vtqg.sim import DensityMatrix, apply_gates_density
-from vtqg.tfim import TfimParams, build_trotter_circuit, magnetization, pauli_components
+from vtqg.tfim import TfimParams, build_trotter_circuit, exact_reference, magnetization, pauli_components
 
 import oracles
 
@@ -107,6 +107,15 @@ class TestRunExperiment:
         for r in records:
             assert r.mag == pytest.approx(r.ideal, abs=1e-9)
             assert r.ideal == pytest.approx(oracles.REF_MAG_SINGLE_STEP, abs=1e-9)
+
+    def test_noiseless_exact_past_four_cuts(self):
+        # exact mode builds no fragment circuits, so the fragment builders' cut cap does not apply
+        params = TfimParams(6, 0.786, 0.787, 0.5, 5)
+        records = run_experiment(small_config(params=params, repetitions=1, variants=("vtqg", "vtqg_pet")))
+        assert [r.variant for r in records] == ["vtqg", "vtqg_pet"]
+        for r in records:
+            assert r.fragments == 10**5
+            assert r.mag == pytest.approx(exact_reference(params), abs=1e-9)
 
     def test_fragment_accounting(self):
         records = {r.variant: r for r in run_experiment(small_config(repetitions=1))}

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vtqg import qpd
-from vtqg.circuit import Circuit, circuit_from_text, cnot, measure_z, rx, rz, rzz
+from vtqg.circuit import Circuit, Gate, circuit_from_text, cnot, measure_z, rx, rz, rzz
 from vtqg.errors import PreconditionError, ResourceLimitError
 from vtqg.qpd import (
     CROSS_TERM_SCALE,
@@ -578,6 +579,29 @@ class TestLightCones:
                 cones = forced_cones(build, bloch_observables(n), NoiseModel())
                 assert len(cones) == n
                 assert max(width for *_, width, _ in cones) == 2 * steps + 1, (variant, steps)
+
+    @pytest.mark.parametrize("n", [8, 16, 64])
+    def test_distinct_cones_run_once(self, n, monkeypatch):
+        runs = []
+        real = qpd._run_program
+        monkeypatch.setattr(qpd, "_run_program", lambda *a: runs.append(1) or real(*a))
+        noise = NoiseModel()
+        obs = bloch_observables(n)
+        configs = [(1, "routed_original", 4), (1, "vtqg", 4), (1, "vtqg_pet", 4)]
+        for steps, variant, distinct in configs + ([(2, "vtqg", 6)] if n == 8 else []):
+            build = build_trotter_circuit(TfimParams(n, 0.786, 0.787, 0.5, steps), variant)
+            cones = forced_cones(build, obs, noise)
+            programs = [(width, tuple(replace(op, qubits=slots) if isinstance(op, Gate) else op._replace(qubits=slots)
+                                      for op, slots in reduced)) for *_, width, reduced in cones]
+            runs.clear()
+            values, _ = run_enumerated_exact(build.circuit, build.cuts, obs, noise)
+            assert len(runs) == len(set(programs)) == distinct, (variant, steps)
+            alone = [0.0] * len(obs)
+            for (support, indices, width, _), (_, program) in zip(cones, programs):
+                rho = real(width, list(program), noise)
+                for i in indices:
+                    alone[i] = expectation(rho, PauliObservable.single(width, 0, "XYZ"[i // n]))
+            assert values == alone, (variant, steps)
 
     def test_estimate_keeps_small_rings_on_the_full_run(self, monkeypatch):
         cone_runs = []

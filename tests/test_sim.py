@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -30,7 +31,9 @@ from vtqg.sim import (
     Shots,
     StateVector,
     circuit_unitary,
+    depolarize_tensor,
     expectation,
+    expectations,
     run_density,
     run_statevector,
     sample_shots,
@@ -193,6 +196,54 @@ class TestExpectation:
         psi = StateVector.zero(2)
         obs = PauliObservable((("ZI", 0.5), ("IZ", 0.25), ("ZZ", -1.0)))
         assert expectation(psi, obs) == pytest.approx(0.5 + 0.25 - 1.0)
+
+    def test_single_rejects_bad_qubit_or_letter(self):
+        for qubit, pauli in ((7, "Z"), (4, "Z"), (-1, "Z"), (1, "XY"), (1, "I"), (1, "")):
+            with pytest.raises(ValueError):
+                PauliObservable.single(4, qubit, pauli)
+
+    def test_batched_equals_one_at_a_time(self):
+        # density values are bit-identical; statevector ones come from the Gram marginal
+        rng = np.random.default_rng(5)
+        c = random_unitary_circuit(4, 14, rng)
+        obs = [PauliObservable.single(4, q, p) for p in "XYZ" for q in range(4)]
+        obs += [PauliObservable((("IZXI", 0.5), ("IIYI", -1.0))), PauliObservable((("IIII", 2.0),))]
+        rho = run_density(c)
+        assert expectations(rho, obs[:12]) == [expectation(rho, o) for o in obs[:12]]
+        assert expectations(rho, obs) == pytest.approx([expectation(rho, o) for o in obs], abs=1e-14)
+        psi = run_statevector(c)
+        assert expectations(psi, obs) == pytest.approx([expectation(psi, o) for o in obs], abs=1e-14)
+        with pytest.raises(ValueError):
+            expectations(rho, [PauliObservable.single(3, 0, "Z")])
+
+
+def pauli_on(n, qubit, mat):
+    out = np.eye(1)
+    for q in range(n):
+        out = np.kron(out, mat if q == qubit else np.eye(2))
+    return out
+
+
+class TestDepolarizeKernel:
+    @pytest.mark.parametrize("qubits", [(1,), (0, 2), (2, 0)])
+    def test_matches_the_textbook_channel(self, qubits):
+        # I/2^k (x) Tr_q rho is the uniform Pauli twirl on the qubits q
+        rng = np.random.default_rng(17)
+        a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        rho = a @ a.conj().T / np.trace(a @ a.conj().T)
+        paulis = [sim._PAULI[ch] for ch in "IXYZ"]
+        twirl = np.zeros_like(rho)
+        for letters in itertools.product(paulis, repeat=len(qubits)):
+            op = np.eye(8)
+            for q, mat in zip(qubits, letters):
+                op = op @ pauli_on(3, q, mat)
+            twirl += op @ rho @ op.conj().T
+        p = 0.3
+        textbook = (1 - p) * rho + p * twirl / 4 ** len(qubits)
+        before = rho.copy()
+        out = depolarize_tensor(rho.reshape([2] * 6), qubits, p, 3).reshape(8, 8)
+        assert np.max(np.abs(out - textbook)) < 1e-15
+        assert np.array_equal(rho, before)
 
 
 def same_shots(a, b):

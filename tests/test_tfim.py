@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from vtqg.circuit import GateKind, count_gates
 from vtqg.errors import ResourceLimitError
-from vtqg.qpd import run_enumerated_exact
+from vtqg.qpd import build_enumerated_fragments, build_grouped_fragments, fragment_manifest, run_enumerated_exact
 from vtqg.sim import PauliObservable, StateVector, run_density, run_statevector
 from vtqg.tfim import (
     TfimParams,
@@ -91,8 +91,15 @@ class TestStructure:
         assert len(build.cuts) == 2
 
     def test_cut_cap(self):
+        # the fragment builders refuse more than four cuts; building the circuit does not
+        build = build_trotter_circuit(params(4, steps=5), "vtqg")
+        assert len(build.cuts) == 5
+        for builder, per_cut in ((build_grouped_fragments, 6), (build_enumerated_fragments, 10)):
+            with pytest.raises(ResourceLimitError, match=f"5 cuts would build {per_cut}\\^5"):
+                builder(build.circuit, build.cuts)
         with pytest.raises(ResourceLimitError):
-            build_trotter_circuit(params(4, steps=3), "vtqg", max_cuts=2)
+            fragment_manifest(build.circuit, build.cuts, mode="grouped")
+        assert len(build_grouped_fragments(build.circuit, build.cuts[:4])) == 6**4
 
     def test_routed_multistep_unsupported(self):
         with pytest.raises(ValueError):
