@@ -56,6 +56,10 @@ class ExperimentConfig:
     sampling_strategy: str = "grouped"
 
     def __post_init__(self):
+        if not isinstance(self.params, TfimParams):
+            raise ValueError(f"params must be a TfimParams, got {self.params!r}")
+        if not isinstance(self.noise, NoiseModel):
+            raise ValueError(f"noise must be a NoiseModel, got {self.noise!r}")
         for name in ("shots", "repetitions"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -90,7 +94,10 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         if "params" in obj and isinstance(obj["params"], dict):
-            obj["params"] = TfimParams(**obj["params"])
+            try:
+                obj["params"] = TfimParams(**obj["params"])
+            except TypeError as exc:  # an unknown or missing field, named in the message
+                raise ValueError(f"params: {exc}") from exc
         if "noise" in obj and isinstance(obj["noise"], dict):
             obj["noise"] = NoiseModel.from_dict(obj["noise"])
         if "variants" in obj:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 from .circuit import Gate, GateKind
@@ -32,8 +33,9 @@ class NoiseModel:
     def __post_init__(self):
         for name in ("p1", "p2", "reset_error", "readout_flip"):
             v = getattr(self, name)
-            if isinstance(v, bool) or not (isinstance(v, (int, float)) and math.isfinite(v) and 0.0 <= v <= 1.0):
+            if isinstance(v, bool) or not (isinstance(v, numbers.Real) and math.isfinite(v) and 0.0 <= v <= 1.0):
                 raise ValueError(f"{name} must be a probability in [0, 1], got {v}")
+            object.__setattr__(self, name, float(v))  # a numpy scalar would not serialize to JSON
         if self.pet_scaling not in (PET_OFF, PET_LINEAR):
             raise ValueError(f"unknown pet_scaling {self.pet_scaling!r}")
 

@@ -19,6 +19,12 @@ index): a (circuit, seed, n_shots) triple reproduces bit-identical outcomes
 on any platform, a shorter run is a prefix of a longer one, and the split
 into blocks changes nothing.  These streams replaced one PCG64 SeedSequence
 stream per shot, so sampled bits differ from that earlier sampler.
+
+A block draws the uniforms it reads as a table [shots, draws] from the same
+streams and slots: measurement outcomes and noise events up front, in chunks
+of at most 2^n columns, then the Pauli draws of the shots a noise event hit,
+and the readout draws.  Which draws are made, and when, changes no value, so
+every shot is the one a draw-by-draw sampler would give.
 """
 
 from __future__ import annotations
@@ -485,8 +491,11 @@ _BASIS_ROT = {
 }
 _PAULI_STACK = np.stack([_PAULI[ch] for ch in "IXYZ"])
 
-# Amplitudes the sampler holds at once (16 MiB of complex128): shots run in
-# blocks of _BLOCK_AMPLITUDES >> n_qubits, which bounds memory at any n_shots.
+# Amplitudes the sampler holds at once (16 MiB of complex128), a draw counting
+# as one amplitude (its float64 uniform plus the uint64 it is hashed from): a
+# shot holds 2^n amplitudes and a draw-table row of at most 2^n columns, so
+# shots run in blocks of _BLOCK_AMPLITUDES >> (n + 1), which bounds memory at
+# any n_shots.
 _BLOCK_AMPLITUDES = 1 << 20
 
 # Gate i of a circuit owns draws 4*i + slot; the terminal readout owns draws
@@ -502,9 +511,12 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 def _mix64(z: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer on a uint64 array (wrapping arithmetic, a bijection)."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    z = z ^ (z >> np.uint64(30))  # a new array; the rest works in place
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _shot_keys(seed: int, start: int, stop: int) -> np.ndarray:
@@ -521,15 +533,42 @@ def _shot_keys(seed: int, start: int, stop: int) -> np.ndarray:
 def _uniforms(keys: np.ndarray, draws) -> np.ndarray:
     """u(seed, shot, draw) in [0, 1): output `draw` of a SplitMix64 stream started at the shot key."""
     steps = (np.asarray(draws, dtype=np.uint64).reshape(-1) + np.uint64(1)) * _GOLDEN
-    return (_mix64(keys + steps) >> np.uint64(11)) * 2.0**-53
+    z = _mix64(keys + steps)
+    z >>= np.uint64(11)
+    return z * 2.0**-53
 
 
-def _apply_basis_rotations(psi_t: np.ndarray, basis: str) -> np.ndarray:
-    for q, ch in enumerate(basis):
-        rot = _BASIS_ROT[ch]
-        if rot is not None:
-            psi_t = _apply_1q(psi_t, rot, q)
-    return psi_t
+def _apply_rows(psi: np.ndarray, mat: np.ndarray, q: int) -> np.ndarray:
+    """A 2^k x 2^k matrix on qubits q..q+k-1 of a block [2]*n + [shots].
+
+    The block is viewed as (left, 2^k, right) and takes one stacked matmul,
+    which keeps it C-contiguous.  When left exceeds right the stack is many
+    tiny products, and one tensordot over the gate's axes is faster.
+    """
+    dim = mat.shape[0]
+    left = 1 << q
+    right = psi.size // (left * dim)
+    if left > right:
+        return _apply_1q(psi, mat, q) if dim == 2 else _apply_2q(psi, mat, q, q + 1)
+    return np.matmul(mat, psi.reshape(left, dim, right)).reshape(psi.shape)
+
+
+def _apply_gate_shots(psi: np.ndarray, g: Gate) -> np.ndarray:
+    """Apply a unitary gate to every shot of a block."""
+    diag = _gate_diagonal(g)
+    if diag is not None:
+        if len(g.qubits) == 1:
+            return _mul_diag(psi, diag, g.qubits[0])
+        return _mul_diag2(psi, diag, g.qubits[0], g.qubits[1])
+    mat = gate_matrix(g)
+    if len(g.qubits) == 1:
+        return _apply_rows(psi, mat, g.qubits[0])
+    a, b = g.qubits
+    if a == b + 1:  # the same gate with its qubits listed in ascending order
+        mat, a, b = mat.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4), b, a
+    if b == a + 1:
+        return _apply_rows(psi, mat, a)
+    return _apply_2q(psi, mat, a, b)
 
 
 def _measure_shots(psi: np.ndarray, q: int, u: np.ndarray, reset: bool):
@@ -554,36 +593,70 @@ def _measure_shots(psi: np.ndarray, q: int, u: np.ndarray, reset: bool):
     return psi, outcome
 
 
-def _depolarize_shots(psi: np.ndarray, qubits, p: float, keys: np.ndarray, draw: int,
-                      active: np.ndarray | None) -> np.ndarray:
-    """Unravel depolarizing noise: where u < p, a uniform Pauli (I, X, Y or Z) on each qubit."""
-    if p <= 0.0:
-        return psi
-    hit = _uniforms(keys, draw + _SLOT_EVENT) < p
-    if active is not None:
-        hit &= active
-    if not hit.any():
-        return psi
-    sub, sub_keys = psi[..., hit], keys[hit]
+def _depolarize_shots(psi: np.ndarray, qubits, hit: np.ndarray, u_pauli: np.ndarray) -> np.ndarray:
+    """Unravel depolarizing noise on the shots it hit: a uniform Pauli (I, X, Y or Z) on each qubit.
+
+    hit holds the indices of those shots (an index array gathers them far
+    faster than a mask over the whole block), u_pauli [len(hit), len(qubits)]
+    their Pauli draws.
+    """
+    sub = psi[..., hit]
+    n = sub.ndim - 1
+    axes = list(range(n + 1))  # einsum labels: qubit q is q, the shot axis n, a new row n + 1
     for k, q in enumerate(qubits):
-        mats = _PAULI_STACK[(4.0 * _uniforms(sub_keys, draw + _SLOT_PAULI + k)).astype(np.intp)]
-        sub = np.moveaxis(np.einsum("sij,j...s->i...s", mats, np.moveaxis(sub, q, 0)), 0, q)
+        mats = _PAULI_STACK[(4.0 * u_pauli[:, k]).astype(np.intp)]
+        sub = np.einsum(mats, [n, n + 1, q], sub, axes, axes[:q] + [n + 1] + axes[q + 1:])
     psi[..., hit] = sub
     return psi
 
 
-def _sample_block(circuit: Circuit, keys: np.ndarray, basis: str, noise):
+def _draw_chunk(circuit: Circuit, keys: np.ndarray, strengths, start: int):
+    """The draw table [shots, draws] of the gates from `start` on, drawn before they run.
+
+    A measurement or reset reads its outcome slot and a gate of strength > 0
+    its event slot; Pauli slots are drawn later, for the shots an event hit.
+    The table takes gates until it would pass 2^n columns, so it is never
+    wider than the state.  Returns (table, column of each slot, for each gate
+    whose noise event fired on some shot the indices of those shots, and the
+    first gate the table does not cover).  Every event column is compared
+    with its gate's strength at once, so a gate that no shot's noise hit
+    costs only its unitary.
+    """
+    gates, width = circuit.gates, 1 << circuit.n_qubits
+    slots, noisy, stop = [], [], start
+    while stop < len(gates):
+        measured = gates[stop].kind in (GateKind.MEASURE_Z, GateKind.RESET)
+        has_noise = strengths[stop] > 0.0
+        if len(slots) + measured + has_noise > width:
+            break
+        if measured:
+            slots.append(_DRAWS_PER_GATE * stop + _SLOT_OUTCOME)
+        if has_noise:
+            slots.append(_DRAWS_PER_GATE * stop + _SLOT_EVENT)
+            noisy.append(stop)
+        stop += 1
+    u = _uniforms(keys[:, None], slots)
+    column = {draw: j for j, draw in enumerate(slots)}
+    hits = u[:, [column[_DRAWS_PER_GATE * i + _SLOT_EVENT] for i in noisy]] < [strengths[i] for i in noisy]
+    fired = {noisy[j]: np.flatnonzero(hits[:, j]) for j in np.flatnonzero(hits.any(axis=0))}
+    return u, column, fired, stop
+
+
+def _sample_block(circuit: Circuit, keys: np.ndarray, basis: str, strengths, readout_flip: float):
     """Advance every shot of a block together; the state is one tensor [2]*n + [shots]."""
     n, shots = circuit.n_qubits, len(keys)
     psi = np.zeros([2] * n + [shots], dtype=complex)
     psi[(0,) * n] = 1.0
     clbits = np.zeros((shots, circuit.n_clbits), dtype=np.uint8)
     sign = np.ones(shots, dtype=np.int8)
+    stop = 0
     for i, g in enumerate(circuit.gates):
+        if i == stop:
+            u, column, fired, stop = _draw_chunk(circuit, keys, strengths, i)
         draw = _DRAWS_PER_GATE * i
         active = None
         if g.kind in (GateKind.MEASURE_Z, GateKind.RESET):
-            psi, outcome = _measure_shots(psi, g.qubits[0], _uniforms(keys, draw + _SLOT_OUTCOME),
+            psi, outcome = _measure_shots(psi, g.qubits[0], u[:, column[draw + _SLOT_OUTCOME]],
                                           g.kind == GateKind.RESET)
             if g.clbit is not None:
                 clbits[:, g.clbit] = outcome
@@ -591,20 +664,27 @@ def _sample_block(circuit: Circuit, keys: np.ndarray, basis: str, noise):
                 sign[outcome] *= -1
         elif g.kind == GateKind.CLASSICALLY_CONTROLLED:
             active = clbits[:, g.clbit] == 1
-            psi = np.where(active, _apply_unitary_rows(psi, g.inner), psi)
+            psi = np.where(active, _apply_gate_shots(psi, g.inner), psi)
         else:
-            psi = _apply_unitary_rows(psi, g)
-        if noise is not None:
-            psi = _depolarize_shots(psi, g.qubits, noise.strength_for(g), keys, draw, active)
-    psi = _apply_basis_rotations(psi, basis)
+            psi = _apply_gate_shots(psi, g)
+        hit = fired.get(i)
+        if hit is not None:
+            if active is not None:
+                hit = hit[active[hit]]
+            if hit.size:
+                paulis = draw + _SLOT_PAULI + np.arange(len(g.qubits))
+                psi = _depolarize_shots(psi, g.qubits, hit, _uniforms(keys[hit][:, None], paulis))
+    for q, ch in enumerate(basis):
+        if _BASIS_ROT[ch] is not None:
+            psi = _apply_rows(psi, _BASIS_ROT[ch], q)
     cum = np.cumsum((psi.real**2 + psi.imag**2).reshape(-1, shots), axis=0)
     terminal = _DRAWS_PER_GATE * len(circuit.gates)
     target = _uniforms(keys, terminal + _SLOT_INDEX) * cum[-1]
     index = np.minimum(np.count_nonzero(cum <= target, axis=0), 2**n - 1)
     bits = ((index[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
-    if noise is not None and noise.readout_flip > 0.0:
+    if readout_flip > 0.0:
         draws = terminal + _SLOT_FLIP + np.arange(n)
-        bits ^= (_uniforms(keys[:, None], draws) < noise.readout_flip).astype(np.uint8)
+        bits ^= (_uniforms(keys[:, None], draws) < readout_flip).astype(np.uint8)
     return bits, clbits, sign
 
 
@@ -646,10 +726,13 @@ def sample_shots(circuit: Circuit, n_shots: int, seed: int,
     basis = "Z" * n if basis is None else str(basis)
     if len(basis) != n or any(ch not in "XYZ" for ch in basis):
         raise ValueError(f"basis must be one of X/Y/Z per qubit, got {basis!r}")
-    if noise is not None and getattr(noise, "is_zero", False):
-        noise = None
-    block = max(1, _BLOCK_AMPLITUDES >> n)
-    parts = [_sample_block(circuit, _shot_keys(seed, start, min(start + block, n_shots)), basis, noise)
+    if noise is None or getattr(noise, "is_zero", False):
+        strengths, readout_flip = [0.0] * len(circuit.gates), 0.0
+    else:
+        strengths, readout_flip = [noise.strength_for(g) for g in circuit.gates], noise.readout_flip
+    block = max(1, _BLOCK_AMPLITUDES >> (n + 1))
+    parts = [_sample_block(circuit, _shot_keys(seed, start, min(start + block, n_shots)), basis,
+                           strengths, readout_flip)
              for start in range(0, n_shots, block)]
     return Shots(*(np.concatenate(column) for column in zip(*parts)))
 

@@ -62,8 +62,10 @@ class TfimParams:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_qubits < 2:
             raise ValueError("the ring needs at least two qubits")
-        if not all(math.isfinite(v) for v in (self.h, self.J, self.dt)):
-            raise ValueError("h, J and dt must be finite")
+        for name in ("h", "J", "dt"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.n_steps < 1:

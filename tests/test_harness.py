@@ -99,6 +99,21 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict({"params": default_params().__dict__, "backend": "x"})
 
+    def test_params_and_noise_must_be_their_types(self):
+        with pytest.raises(ValueError, match="params"):
+            small_config(params=default_params().__dict__)
+        with pytest.raises(ValueError, match="noise"):
+            small_config(noise=None)
+
+    def test_unknown_or_missing_params_fields_rejected(self):
+        params = default_params().__dict__
+        with pytest.raises(ValueError, match="width"):
+            ExperimentConfig.from_dict({"params": params | {"width": 3}})
+        with pytest.raises(ValueError, match="dt"):
+            ExperimentConfig.from_dict({"params": {k: v for k, v in params.items() if k != "dt"}})
+        no_steps = {k: v for k, v in params.items() if k != "n_steps"}  # n_steps has a default
+        assert ExperimentConfig.from_dict({"params": no_steps}).params.n_steps == 1
+
 
 class TestRunExperiment:
     def test_noiseless_exact_matches_ideal(self):

@@ -27,6 +27,12 @@ class TestNoiseModelValidation:
         with pytest.raises(ValueError):
             NoiseModel(**{field: value})
 
+    def test_numpy_scalars_accepted_as_floats(self):
+        model = NoiseModel(p1=np.float32(0.001), p2=np.float64(0.02), readout_flip=np.int64(0))
+        assert model.p1 == float(np.float32(0.001)) and type(model.p1) is float
+        assert type(model.p2) is float and type(model.readout_flip) is float
+        assert NoiseModel.from_json(model.to_json()) == model
+
     def test_pet_scaling_values(self):
         with pytest.raises(ValueError):
             NoiseModel(pet_scaling="quadratic")

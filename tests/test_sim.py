@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -421,7 +423,7 @@ class TestSamplerLaw:
 
     def test_runs_spanning_blocks_match_the_prefix_of_a_longer_run(self, monkeypatch):
         n = 10
-        block = _BLOCK_AMPLITUDES >> n
+        block = _BLOCK_AMPLITUDES >> (n + 1)  # shots per block: amplitudes plus a draw table as wide
         c = feedback_circuit(n)
         basis = "XYZ" + "Z" * (n - 3)
         short = sample_shots(c, block + 7, seed=17, basis=basis, noise=LAW_NOISE)
@@ -431,3 +433,59 @@ class TestSamplerLaw:
         # a different split into blocks leaves every shot as it was
         monkeypatch.setattr(sim, "_BLOCK_AMPLITUDES", _BLOCK_AMPLITUDES // 3)
         assert same_shots(sample_shots(c, 3 * block + 5, seed=17, basis=basis, noise=LAW_NOISE), longer)
+
+
+def pinned_circuit():
+    """feedback_circuit(5) plus distant and descending two-qubit gates."""
+    tail = (cnot(4, 2), rzx(0.4, 3, 2), swap(0, 4), rx(0.2, 4), h(3))
+    return Circuit(5, 2, feedback_circuit(5).gates + tail)
+
+
+def shots_digest(shots):
+    digest = hashlib.sha256()
+    for column in (shots.bits, shots.clbits, shots.sign):
+        digest.update(np.ascontiguousarray(column).tobytes())
+    return digest.hexdigest()[:16]
+
+
+# sha256 prefixes of (bits, clbits, sign), recorded with the gate-by-gate
+# sampler that drew each uniform when its gate ran: drawing them as a table
+# must leave every shot as it was.
+PINNED_DIGESTS = {
+    ("ZZZZZ", 0): "24d6288a2bf34760",
+    ("ZZZZZ", 1): "d3e90403a6fdabd7",
+    ("ZZZZZ", 2): "3a0df96bcc0c24e1",
+    ("XXXXX", 0): "8c7674e17eb36e93",
+    ("XXXXX", 1): "8fe894701473fa53",
+    ("XXXXX", 2): "727dd91428be7294",
+    ("XZYXZ", 0): "0f4768a06fb6cdc2",
+    ("XZYXZ", 1): "0babcf72f99fe80b",
+    ("XZYXZ", 2): "d4bfeaeaac9bc764",
+}
+
+
+class TestSamplerPinned:
+    @pytest.mark.parametrize("basis, seed", sorted(PINNED_DIGESTS))
+    def test_shots_match_the_recorded_digest(self, basis, seed):
+        out = sample_shots(pinned_circuit(), 500, seed=seed, basis=basis, noise=LAW_NOISE)
+        assert shots_digest(out) == PINNED_DIGESTS[basis, seed]
+
+    def test_shots_across_block_boundaries_match_the_recorded_digest(self, monkeypatch):
+        monkeypatch.setattr(sim, "_BLOCK_AMPLITUDES", 1 << 10)  # blocks of a few dozen shots
+        out = sample_shots(pinned_circuit(), 300, seed=5, basis="XZYXZ", noise=LAW_NOISE)
+        assert shots_digest(out) == "838419063a02820c"
+
+    def test_memory_stays_bounded_by_the_block_budget(self, monkeypatch):
+        gates = [g for i in range(50) for g in (rx(0.1 * i, 0), rz(0.2, 1), cnot(0, 1), rzz(0.3, 0, 1))]
+        circuit = Circuit(2, 0, tuple(gates))
+        noise = NoiseModel(p1=1e-4, p2=1e-4, readout_flip=0.01)
+        tracemalloc.start()
+        try:
+            out = sample_shots(circuit, 300_000, seed=5, basis="XY", noise=noise)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        # 2^2 amplitudes and a 4-column draw table per shot: 1000-shot blocks
+        monkeypatch.setattr(sim, "_BLOCK_AMPLITUDES", 1000 * (4 + 4))
+        assert same_shots(sample_shots(circuit, 300_000, seed=5, basis="XY", noise=noise), out)

@@ -52,6 +52,15 @@ class TestParams:
         with pytest.raises(ValueError, match="n_steps"):
             TfimParams(4, 0.5, 0.5, 0.5, n_steps=True)
 
+    def test_non_numeric_couplings_rejected(self):
+        with pytest.raises(ValueError, match="h"):
+            TfimParams(4, "1", 0.5, 0.5)
+        with pytest.raises(ValueError, match="J"):
+            TfimParams(4, 0.5, True, 0.5)
+        with pytest.raises(ValueError, match="dt"):
+            TfimParams(4, 0.5, 0.5, None)
+        assert TfimParams(4, np.float32(0.5), 1, 0.5).J == 1
+
     def test_angle_wiring(self):
         p = params(8)
         assert p.theta_rx == pytest.approx(2 * 0.786 * 0.5)
