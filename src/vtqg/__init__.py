@@ -58,6 +58,7 @@ from .sim import (
     expectations,
     run_density,
     run_statevector,
+    sample_bases,
     sample_shots,
 )
 from .tfim import TfimParams, TrotterBuild, build_trotter_circuit, exact_reference, magnetization

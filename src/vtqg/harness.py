@@ -27,7 +27,7 @@ from .circuit import count_gates
 from .errors import ResourceLimitError
 from .noise import NoiseModel
 from .qpd import build_enumerated_fragments, build_grouped_fragments, run_enumerated_exact
-from .sim import PauliObservable, sample_shots
+from .sim import PauliObservable, sample_bases
 from .tfim import TfimParams, TrotterBuild, build_trotter_circuit, exact_reference, magnetization
 
 RUN_VARIANTS = ("routed_original", "vtqg", "vtqg_pet")
@@ -159,9 +159,9 @@ def _execute_sampling(build: TrotterBuild, config: ExperimentConfig, seed_rep: i
             shots = max(1, round(config.shots * abs(frag.weight) / total_abs))
         else:
             shots = config.shots
-        for j, pauli in enumerate("XYZ"):
-            outcomes = sample_shots(frag.circuit, shots, _child_seed(seed_rep, variant_index, k, j),
-                                    basis=pauli * n, noise=noise)
+        seeds = [_child_seed(seed_rep, variant_index, k, j) for j in range(3)]
+        per_basis = sample_bases(frag.circuit, shots, seeds, [pauli * n for pauli in "XYZ"], noise=noise)
+        for j, outcomes in enumerate(per_basis):
             acc[j] += frag.weight * _signed_qubit_means(outcomes, frag.keep_rules)
     return [list(a) for a in acc], len(fragments)
 

@@ -79,7 +79,7 @@ class NoiseModel:
 
 def depolarize(state: DensityMatrix, qubits: tuple[int, ...] | list[int], p: float) -> DensityMatrix:
     """rho -> (1-p) rho + p (maximally mixed on `qubits` (x) marginal on the rest)."""
-    if isinstance(p, bool) or not (isinstance(p, (int, float)) and math.isfinite(p) and 0.0 <= p <= 1.0):
+    if isinstance(p, bool) or not (isinstance(p, numbers.Real) and math.isfinite(p) and 0.0 <= p <= 1.0):
         raise ValueError(f"depolarizing strength must be in [0, 1], got {p}")
     qubits = tuple(qubits)
     if not 1 <= len(qubits) <= 2 or len(set(qubits)) != len(qubits):

@@ -9,9 +9,15 @@ Density matrices are carried with their raw trace and nothing here ever
 renormalizes.  Expectation values are likewise raw traces, which keeps the
 whole pipeline linear in the state.
 
-Shot sampling advances a block of shots together: the block is one state
-tensor with the shot as its trailing axis, [2]*n + [shots], so the row
-kernels below apply to every shot at once.  Every random number is a
+Shot sampling advances a block of shots together.  The block is one state
+tensor with one column per distinct history as its trailing axis,
+[2]*n + [columns], plus a map from each shot to its column, so the row
+kernels below apply to every history at once.  All shots start in one
+column; a column splits only where its shots diverge (the Pauli a noise
+event drew, a measurement or reset outcome), so a block never holds more
+columns than shots.  `sample_bases` runs the shots of several (seed, basis)
+pairs in one pass: they share columns until a last split by basis, just
+before the basis rotations.  Every random number is a
 counter-based uniform u(seed, shot, draw), output `draw` of a SplitMix64
 stream whose state starts at a hash of (seed, shot), and each gate owns fixed
 draw slots.  A shot's outcome therefore depends only on (circuit, seed, shot
@@ -23,8 +29,9 @@ stream per shot, so sampled bits differ from that earlier sampler.
 A block draws the uniforms it reads as a table [shots, draws] from the same
 streams and slots: measurement outcomes and noise events up front, in chunks
 of at most 2^n columns, then the Pauli draws of the shots a noise event hit,
-and the readout draws.  Which draws are made, and when, changes no value, so
-every shot is the one a draw-by-draw sampler would give.
+and the readout draws.  Which draws are made, and when, and which shots
+share a column, changes no value, so every shot is the one a draw-by-draw,
+shot-by-shot sampler would give.
 """
 
 from __future__ import annotations
@@ -489,13 +496,15 @@ _BASIS_ROT = {
     # Rz(-pi/2) then H: maps the Y eigenbasis onto the Z basis.
     "Y": _MAT_1Q[GateKind.H] @ np.array([[1, 0], [0, -1j]], dtype=complex),
 }
-_PAULI_STACK = np.stack([_PAULI[ch] for ch in "IXYZ"])
+# Pauli I, X, Y, Z as a flip of the qubit's axis, then a phase on its rows 0 and 1.
+_PAULI_FLIP = np.array([False, True, True, False])
+_PAULI_PHASE = np.array([[1, 1], [1, 1], [-1j, 1j], [1, -1]], dtype=complex)
 
 # Amplitudes the sampler holds at once (16 MiB of complex128), a draw counting
 # as one amplitude (its float64 uniform plus the uint64 it is hashed from): a
-# shot holds 2^n amplitudes and a draw-table row of at most 2^n columns, so
-# shots run in blocks of _BLOCK_AMPLITUDES >> (n + 1), which bounds memory at
-# any n_shots.
+# block holds at most one state column of 2^n amplitudes per shot and a
+# draw-table row of at most 2^n columns per shot, so shots run in blocks of
+# _BLOCK_AMPLITUDES >> (n + 1), which bounds memory at any n_shots.
 _BLOCK_AMPLITUDES = 1 << 20
 
 # Gate i of a circuit owns draws 4*i + slot; the terminal readout owns draws
@@ -553,60 +562,104 @@ def _apply_rows(psi: np.ndarray, mat: np.ndarray, q: int) -> np.ndarray:
     return np.matmul(mat, psi.reshape(left, dim, right)).reshape(psi.shape)
 
 
-def _apply_gate_shots(psi: np.ndarray, g: Gate) -> np.ndarray:
-    """Apply a unitary gate to every shot of a block."""
+def _gate_kernel(g: Gate, n: int):
+    """A function applying unitary g to every column of a block [2]*n + [columns].
+
+    The gate's operator is built here, once, and reused by every block and
+    basis of a call.
+    """
     diag = _gate_diagonal(g)
     if diag is not None:
-        if len(g.qubits) == 1:
-            return _mul_diag(psi, diag, g.qubits[0])
-        return _mul_diag2(psi, diag, g.qubits[0], g.qubits[1])
+        shape = [1] * (n + 1)
+        for q in g.qubits:
+            shape[q] = 2
+        diag = diag.reshape(shape)
+        return lambda psi: psi * diag
     mat = gate_matrix(g)
     if len(g.qubits) == 1:
-        return _apply_rows(psi, mat, g.qubits[0])
+        q = g.qubits[0]
+        return lambda psi: _apply_rows(psi, mat, q)
     a, b = g.qubits
     if a == b + 1:  # the same gate with its qubits listed in ascending order
         mat, a, b = mat.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4), b, a
     if b == a + 1:
-        return _apply_rows(psi, mat, a)
-    return _apply_2q(psi, mat, a, b)
+        return lambda psi: _apply_rows(psi, mat, a)
+    return lambda psi: _apply_2q(psi, mat, a, b)
 
 
-def _measure_shots(psi: np.ndarray, q: int, u: np.ndarray, reset: bool):
-    """Z-measure qubit q of every shot: draw, collapse, renormalize; reset re-prepares |0>.
+def _shot_kernels(circuit: Circuit) -> list:
+    """Each gate's kernel (a classically controlled gate's is its inner gate's); None for a measurement or reset."""
+    kernels = []
+    for g in circuit.gates:
+        if g.kind == GateKind.CLASSICALLY_CONTROLLED:
+            g = g.inner
+        measured = g.kind in (GateKind.MEASURE_Z, GateKind.RESET)
+        kernels.append(None if measured else _gate_kernel(g, circuit.n_qubits))
+    return kernels
 
-    Returns (state, outcomes).  A shot whose drawn outcome has zero probability
-    is left as the zero vector rather than divided by zero.
+
+_LABELS = 16  # labels of a split: a measurement outcome, or the Pauli code of a two-qubit noise event
+
+
+def _regroup(col: np.ndarray, moved: np.ndarray, label: np.ndarray):
+    """Move shots `moved` to one new column per distinct (column, label) pair.
+
+    Columns left with no shot are dropped, so every column holds a shot and
+    there are never more columns than shots.  Returns (col, parent, labels):
+    each shot's new column, and for each column the column it copies and its
+    label, 0 for a column that kept its shots.  The kept columns come first.
     """
-    shots = psi.shape[-1]
+    pairs, inverse = np.unique(col[moved] * _LABELS + label, return_inverse=True)
+    remaining = np.bincount(col)
+    remaining -= np.bincount(col[moved], minlength=len(remaining))
+    kept = np.flatnonzero(remaining)
+    remap = np.zeros(len(remaining), dtype=np.intp)
+    remap[kept] = np.arange(len(kept))
+    col = remap[col]
+    col[moved] = len(kept) + inverse
+    parent = np.concatenate([kept, pairs // _LABELS])
+    labels = np.concatenate([np.zeros(len(kept), dtype=np.intp), pairs % _LABELS])
+    return col, parent, labels
+
+
+def _one_probability(psi: np.ndarray, q: int) -> np.ndarray:
+    """P(qubit q reads 1) in each column of a block."""
     one = np.take(psi, 1, axis=q)
-    p1 = np.clip((one.real**2 + one.imag**2).reshape(-1, shots).sum(axis=0), 0.0, 1.0)
-    outcome = u < p1
+    return np.clip((one.real**2 + one.imag**2).reshape(-1, psi.shape[-1]).sum(axis=0), 0.0, 1.0)
+
+
+def _collapse(psi: np.ndarray, q: int, outcome: np.ndarray, p1: np.ndarray, reset: bool) -> np.ndarray:
+    """Project qubit q of each column onto its outcome and renormalize; reset re-prepares |0>.
+
+    A column whose outcome has zero probability is left as the zero vector
+    rather than divided by zero.
+    """
     p = np.where(outcome, p1, 1.0 - p1)
     scale = np.divide(1.0, np.sqrt(p), out=np.zeros_like(p), where=p > 0.0)
-    diag = np.stack([np.where(outcome, 0.0, scale), np.where(outcome, scale, 0.0)])  # [2, shots]
+    diag = np.stack([np.where(outcome, 0.0, scale), np.where(outcome, scale, 0.0)])  # [2, columns]
     shape = [1] * psi.ndim
-    shape[q], shape[-1] = 2, shots
+    shape[q], shape[-1] = 2, psi.shape[-1]
     psi = psi * diag.reshape(shape)
     if reset:
         kept = psi.sum(axis=q)  # the other half is zero
         psi = np.stack([kept, np.zeros_like(kept)], axis=q)
-    return psi, outcome
+    return psi
 
 
-def _depolarize_shots(psi: np.ndarray, qubits, hit: np.ndarray, u_pauli: np.ndarray) -> np.ndarray:
-    """Unravel depolarizing noise on the shots it hit: a uniform Pauli (I, X, Y or Z) on each qubit.
+def _apply_paulis(psi: np.ndarray, qubits, codes: np.ndarray) -> np.ndarray:
+    """Pauli (codes >> 2k) & 3 (I, X, Y or Z) on the k-th of `qubits`, column by column.
 
-    hit holds the indices of those shots (an index array gathers them far
-    faster than a mask over the whole block), u_pauli [len(hit), len(qubits)]
-    their Pauli draws.
+    Each Pauli is a flip of the qubit's axis (X, Y) followed by a phase per
+    row (Y, Z), so every amplitude is moved and multiplied by 1, -1 or ±i.
     """
-    sub = psi[..., hit]
-    n = sub.ndim - 1
-    axes = list(range(n + 1))  # einsum labels: qubit q is q, the shot axis n, a new row n + 1
+    shape = [1] * psi.ndim
+    shape[-1] = len(codes)
     for k, q in enumerate(qubits):
-        mats = _PAULI_STACK[(4.0 * u_pauli[:, k]).astype(np.intp)]
-        sub = np.einsum(mats, [n, n + 1, q], sub, axes, axes[:q] + [n + 1] + axes[q + 1:])
-    psi[..., hit] = sub
+        letter = (codes >> (2 * k)) & 3
+        psi = np.where(_PAULI_FLIP[letter].reshape(shape), np.flip(psi, axis=q), psi)
+        phase_shape = list(shape)
+        phase_shape[q] = 2
+        psi = psi * _PAULI_PHASE[letter].T.reshape(phase_shape)
     return psi
 
 
@@ -642,50 +695,82 @@ def _draw_chunk(circuit: Circuit, keys: np.ndarray, strengths, start: int):
     return u, column, fired, stop
 
 
-def _sample_block(circuit: Circuit, keys: np.ndarray, basis: str, strengths, readout_flip: float):
-    """Advance every shot of a block together; the state is one tensor [2]*n + [shots]."""
+def _sample_block(circuit: Circuit, kernels, keys: np.ndarray, which: np.ndarray, bases,
+                  strengths, readout_flip: float):
+    """Advance a block of shots together; shots with the same history share one state column.
+
+    keys [shots] are the shots' stream keys and which [shots] the index of
+    each shot's basis in `bases`.  The state is one tensor [2]*n + [columns],
+    col[shot] names each shot's column, and clbits and sign are per column.
+    Every shot starts in one column holding |0...0>.  A column splits only
+    where its shots diverge: by the Pauli a noise event drew (an all-I draw
+    changes nothing), by the outcome of a measurement or reset, and, last,
+    by basis before the basis rotations.  Returns bits, clbits and sign, one
+    row per shot.
+    """
     n, shots = circuit.n_qubits, len(keys)
-    psi = np.zeros([2] * n + [shots], dtype=complex)
+    psi = np.zeros([2] * n + [1], dtype=complex)
     psi[(0,) * n] = 1.0
-    clbits = np.zeros((shots, circuit.n_clbits), dtype=np.uint8)
-    sign = np.ones(shots, dtype=np.int8)
+    col = np.zeros(shots, dtype=np.intp)
+    clbits = np.zeros((1, circuit.n_clbits), dtype=np.uint8)
+    sign = np.ones(1, dtype=np.int8)
     stop = 0
     for i, g in enumerate(circuit.gates):
         if i == stop:
             u, column, fired, stop = _draw_chunk(circuit, keys, strengths, i)
         draw = _DRAWS_PER_GATE * i
         active = None
-        if g.kind in (GateKind.MEASURE_Z, GateKind.RESET):
-            psi, outcome = _measure_shots(psi, g.qubits[0], u[:, column[draw + _SLOT_OUTCOME]],
-                                          g.kind == GateKind.RESET)
+        if kernels[i] is None:  # a measurement or reset
+            q = g.qubits[0]
+            p1 = _one_probability(psi, q)
+            outcome = u[:, column[draw + _SLOT_OUTCOME]] < p1[col]
+            col, parent, labels = _regroup(col, np.arange(shots), outcome)
+            psi = _collapse(np.take(psi, parent, axis=-1), q, labels == 1, p1[parent], g.kind == GateKind.RESET)
+            clbits, sign = clbits[parent], sign[parent]
             if g.clbit is not None:
-                clbits[:, g.clbit] = outcome
+                clbits[:, g.clbit] = labels
             if g.signed:
-                sign[outcome] *= -1
+                sign[labels == 1] *= -1
         elif g.kind == GateKind.CLASSICALLY_CONTROLLED:
             active = clbits[:, g.clbit] == 1
-            psi = np.where(active, _apply_gate_shots(psi, g.inner), psi)
+            psi = np.where(active, kernels[i](psi), psi)
         else:
-            psi = _apply_gate_shots(psi, g)
+            psi = kernels[i](psi)
         hit = fired.get(i)
         if hit is not None:
             if active is not None:
-                hit = hit[active[hit]]
+                hit = hit[active[col[hit]]]
             if hit.size:
-                paulis = draw + _SLOT_PAULI + np.arange(len(g.qubits))
-                psi = _depolarize_shots(psi, g.qubits, hit, _uniforms(keys[hit][:, None], paulis))
-    for q, ch in enumerate(basis):
-        if _BASIS_ROT[ch] is not None:
-            psi = _apply_rows(psi, _BASIS_ROT[ch], q)
-    cum = np.cumsum((psi.real**2 + psi.imag**2).reshape(-1, shots), axis=0)
+                k = np.arange(len(g.qubits))
+                paulis = _uniforms(keys[hit][:, None], draw + _SLOT_PAULI + k)
+                codes = ((4.0 * paulis).astype(np.intp) << (2 * k)).sum(axis=1)
+                moved = codes != 0  # an all-I draw leaves the state as it was
+                if moved.any():
+                    col, parent, labels = _regroup(col, hit[moved], codes[moved])
+                    psi = np.take(psi, parent, axis=-1)
+                    new = np.flatnonzero(labels)
+                    psi[..., new] = _apply_paulis(psi[..., new], g.qubits, labels[new])
+                    clbits, sign = clbits[parent], sign[parent]
     terminal = _DRAWS_PER_GATE * len(circuit.gates)
-    target = _uniforms(keys, terminal + _SLOT_INDEX) * cum[-1]
-    index = np.minimum(np.count_nonzero(cum <= target, axis=0), 2**n - 1)
+    u_index = _uniforms(keys, terminal + _SLOT_INDEX)
+    index = np.empty(shots, dtype=np.intp)
+    for b, basis in enumerate(bases):
+        rows = np.flatnonzero(which == b)
+        if not rows.size:
+            continue
+        used, pos = np.unique(col[rows], return_inverse=True)
+        phi = np.take(psi, used, axis=-1)
+        for q, ch in enumerate(basis):
+            if _BASIS_ROT[ch] is not None:
+                phi = _apply_rows(phi, _BASIS_ROT[ch], q)
+        cum = np.cumsum((phi.real**2 + phi.imag**2).reshape(-1, len(used)), axis=0)
+        target = u_index[rows] * cum[-1, pos]
+        index[rows] = np.minimum(np.count_nonzero(cum[:, pos] <= target, axis=0), 2**n - 1)
     bits = ((index[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
     if readout_flip > 0.0:
         draws = terminal + _SLOT_FLIP + np.arange(n)
         bits ^= (_uniforms(keys[:, None], draws) < readout_flip).astype(np.uint8)
-    return bits, clbits, sign
+    return bits, clbits[col], sign[col]
 
 
 @dataclass(frozen=True, eq=False)
@@ -702,6 +787,52 @@ class Shots:
     sign: np.ndarray
 
 
+def sample_bases(circuit: Circuit, n_shots: int, seeds, bases, noise=None) -> list[Shots]:
+    """`sample_shots` for each (seed, basis) pair of `seeds` and `bases`, in one pass.
+
+    Returns one `Shots` per pair, equal bit for bit to
+    `sample_shots(circuit, n_shots, seed, basis, noise)`.  The shots of every
+    pair share state columns until a last split by basis, just before the
+    basis rotations, and each gate's operator is built once for the call.
+    """
+    if isinstance(n_shots, bool) or not isinstance(n_shots, numbers.Integral):
+        raise ValueError(f"n_shots must be an integer, got {n_shots!r}")
+    if n_shots < 1:
+        raise ValueError("n_shots must be positive")
+    seeds, bases = list(seeds), list(bases)
+    if not bases or len(seeds) != len(bases):
+        raise ValueError(f"need one seed per basis and at least one of each, got {len(seeds)} and {len(bases)}")
+    for seed in seeds:
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ValueError("seed must be a non-negative integer")
+    seeds = [int(seed) for seed in seeds]  # _shot_keys needs Python's unbounded integers
+    n = circuit.n_qubits
+    if n > STATEVECTOR_QUBIT_CAP:  # every column holds 2^n amplitudes
+        raise ResourceLimitError(f"{n} qubits exceeds statevector cap {STATEVECTOR_QUBIT_CAP}")
+    bases = [str(basis) for basis in bases]
+    for basis in bases:
+        if len(basis) != n or any(ch not in "XYZ" for ch in basis):
+            raise ValueError(f"basis must be one of X/Y/Z per qubit, got {basis!r}")
+    if noise is None or getattr(noise, "is_zero", False):
+        strengths, readout_flip = [0.0] * len(circuit.gates), 0.0
+    else:
+        strengths, readout_flip = [noise.strength_for(g) for g in circuit.gates], noise.readout_flip
+    kernels = _shot_kernels(circuit)
+    # Shot s of pair b is entry b * n_shots + s; blocks are runs of entries.
+    block, total = max(1, _BLOCK_AMPLITUDES >> (n + 1)), len(bases) * n_shots
+    parts = []
+    for start in range(0, total, block):
+        stop = min(start + block, total)
+        pairs = range(start // n_shots, (stop - 1) // n_shots + 1)
+        keys = np.concatenate([_shot_keys(seeds[b], max(start - b * n_shots, 0), min(stop - b * n_shots, n_shots))
+                               for b in pairs])
+        which = np.arange(start, stop) // n_shots
+        parts.append(_sample_block(circuit, kernels, keys, which, bases, strengths, readout_flip))
+    bits, clbits, sign = (np.concatenate(column) for column in zip(*parts))
+    return [Shots(bits[b * n_shots:(b + 1) * n_shots], clbits[b * n_shots:(b + 1) * n_shots],
+                  sign[b * n_shots:(b + 1) * n_shots]) for b in range(len(bases))]
+
+
 def sample_shots(circuit: Circuit, n_shots: int, seed: int,
                  basis: str | None = None, noise=None) -> Shots:
     """Trajectory sampling with terminal measurement of every qubit.
@@ -711,30 +842,11 @@ def sample_shots(circuit: Circuit, n_shots: int, seed: int,
     mid-circuit measurements accumulate the per-shot sign.  A noise model, if
     given, is unraveled stochastically per trajectory: a depolarizing event
     fires with the gate's strength and applies a uniform Pauli per qubit, and
-    each terminal bit flips with probability `readout_flip`.
+    each terminal bit flips with probability `readout_flip`.  This is the
+    one-basis case of `sample_bases`.
     """
-    if isinstance(n_shots, bool) or not isinstance(n_shots, numbers.Integral):
-        raise ValueError(f"n_shots must be an integer, got {n_shots!r}")
-    if n_shots < 1:
-        raise ValueError("n_shots must be positive")
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError("seed must be a non-negative integer")
-    seed = int(seed)  # _shot_keys needs Python's unbounded integers
-    n = circuit.n_qubits
-    if n > STATEVECTOR_QUBIT_CAP:  # every shot holds 2^n amplitudes
-        raise ResourceLimitError(f"{n} qubits exceeds statevector cap {STATEVECTOR_QUBIT_CAP}")
-    basis = "Z" * n if basis is None else str(basis)
-    if len(basis) != n or any(ch not in "XYZ" for ch in basis):
-        raise ValueError(f"basis must be one of X/Y/Z per qubit, got {basis!r}")
-    if noise is None or getattr(noise, "is_zero", False):
-        strengths, readout_flip = [0.0] * len(circuit.gates), 0.0
-    else:
-        strengths, readout_flip = [noise.strength_for(g) for g in circuit.gates], noise.readout_flip
-    block = max(1, _BLOCK_AMPLITUDES >> (n + 1))
-    parts = [_sample_block(circuit, _shot_keys(seed, start, min(start + block, n_shots)), basis,
-                           strengths, readout_flip)
-             for start in range(0, n_shots, block)]
-    return Shots(*(np.concatenate(column) for column in zip(*parts)))
+    basis = "Z" * circuit.n_qubits if basis is None else basis
+    return sample_bases(circuit, n_shots, [seed], [basis], noise)[0]
 
 
 def write_shots_csv(shots: Shots, path) -> None:

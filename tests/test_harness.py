@@ -167,30 +167,30 @@ class TestRunExperiment:
     def test_enumerated_sampling_executes_ten_fragments_times_three_bases(self, monkeypatch):
         import vtqg.harness as harness_mod
         calls = []
-        real = harness_mod.sample_shots
+        real = harness_mod.sample_bases
 
-        def spy(circuit, n_shots, seed, basis=None, noise=None):
-            calls.append((n_shots, basis))
-            return real(circuit, n_shots, seed, basis=basis, noise=noise)
+        def spy(circuit, n_shots, seeds, bases, noise=None):
+            calls.append((n_shots, tuple(bases)))
+            return real(circuit, n_shots, seeds, bases, noise=noise)
 
-        monkeypatch.setattr(harness_mod, "sample_shots", spy)
+        monkeypatch.setattr(harness_mod, "sample_bases", spy)
         run_experiment(small_config(repetitions=1, mode="sampling", shots=16,
                                     variants=("vtqg",), sampling_strategy="enumerated"))
-        assert len(calls) == 30  # 10 fragments x 3 measurement bases
-        assert {b for _, b in calls} == {"XXXX", "YYYY", "ZZZZ"}
+        assert len(calls) == 10  # 10 fragments, each sampled in its 3 measurement bases at once
+        assert all(bases == ("XXXX", "YYYY", "ZZZZ") for _, bases in calls)
 
     def test_proportional_allocation_splits_by_weight(self, monkeypatch):
         import vtqg.harness as harness_mod
         from vtqg.qpd import build_grouped_fragments
         from vtqg.tfim import build_trotter_circuit
         calls = []
-        real = harness_mod.sample_shots
+        real = harness_mod.sample_bases
 
-        def spy(circuit, n_shots, seed, basis=None, noise=None):
+        def spy(circuit, n_shots, seeds, bases, noise=None):
             calls.append(n_shots)
-            return real(circuit, n_shots, seed, basis=basis, noise=noise)
+            return real(circuit, n_shots, seeds, bases, noise=noise)
 
-        monkeypatch.setattr(harness_mod, "sample_shots", spy)
+        monkeypatch.setattr(harness_mod, "sample_bases", spy)
         config = small_config(repetitions=1, mode="sampling", shots=6000,
                               variants=("vtqg",), shot_allocation="proportional")
         run_experiment(config)
@@ -198,7 +198,7 @@ class TestRunExperiment:
         weights = [f.weight for f in build_grouped_fragments(build.circuit, build.cuts)]
         total = sum(abs(w) for w in weights)
         expected = [max(1, round(6000 * abs(w) / total)) for w in weights]
-        assert calls[::3] == expected  # one entry per fragment (same for each basis)
+        assert calls == expected  # one call per fragment, for all three bases
         assert max(calls) > min(calls)
 
     def test_exact_mode_applies_readout_flip(self):

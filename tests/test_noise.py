@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vtqg.circuit import cnot, h, measure_z, reset, rx, rz, rzx, rzz, swap, x
+from vtqg.circuit import Circuit, cnot, h, measure_z, reset, rx, rz, rzx, rzz, swap, x
 from vtqg.noise import NoiseModel, PET_LINEAR, PET_OFF, depolarize
 from vtqg.sim import DensityMatrix, PauliObservable, expectation, run_density
 from vtqg.tfim import TfimParams, build_trotter_circuit, exact_reference, magnetization, pauli_components
@@ -108,6 +108,16 @@ class TestDepolarize:
             depolarize(DensityMatrix.zero(1), (0,), -0.01)
         with pytest.raises(ValueError):
             depolarize(DensityMatrix.zero(1), (0,), True)
+
+    def test_numpy_float_strength(self):
+        rho = run_density(Circuit(1, 0, (h(0),)))
+        p = np.float32(0.1)
+        assert np.array_equal(depolarize(rho, (0,), p).mat, depolarize(rho, (0,), float(p)).mat)
+
+    def test_bool_strength_rejected(self):
+        for p in (True, False, np.True_):
+            with pytest.raises(ValueError, match="depolarizing strength"):
+                depolarize(DensityMatrix.zero(1), (0,), p)
 
     def test_bad_qubits(self):
         with pytest.raises(ValueError):

@@ -38,6 +38,7 @@ from vtqg.sim import (
     expectations,
     run_density,
     run_statevector,
+    sample_bases,
     sample_shots,
     write_shots_csv,
 )
@@ -489,3 +490,104 @@ class TestSamplerPinned:
         # 2^2 amplitudes and a 4-column draw table per shot: 1000-shot blocks
         monkeypatch.setattr(sim, "_BLOCK_AMPLITUDES", 1000 * (4 + 4))
         assert same_shots(sample_shots(circuit, 300_000, seed=5, basis="XY", noise=noise), out)
+
+
+def keep_rule_fragment():
+    """An enumerated n = 4 fragment with a keep rule, followed by classical control and a reset."""
+    from vtqg.qpd import build_enumerated_fragments
+    from vtqg.tfim import TfimParams, build_trotter_circuit
+
+    build = build_trotter_circuit(TfimParams(n_qubits=4, h=0.786, J=0.787, dt=0.5, n_steps=1), "vtqg")
+    frag = next(f for f in build_enumerated_fragments(build.circuit, build.cuts) if f.keep_rules)
+    tail = (classically_controlled(rx(0.4, 2), 0), reset(3), h(3), classically_controlled(x(1), 0))
+    return Circuit(4, frag.circuit.n_clbits, frag.circuit.gates + tail)
+
+
+def column_log(monkeypatch):
+    """(gate index, columns in the block) at every unitary gate the sampler applies."""
+    log = []
+    real = sim._shot_kernels
+
+    def watch(i, kernel):
+        def run(psi):
+            log.append((i, psi.shape[-1]))
+            return kernel(psi)
+        return None if kernel is None else run
+
+    monkeypatch.setattr(sim, "_shot_kernels", lambda circuit: [watch(i, k) for i, k in enumerate(real(circuit))])
+    return log
+
+
+def assert_matches_one_call_per_pair(circuit, n_shots, seeds, noise):
+    n = circuit.n_qubits
+    bases = ["X" * n, "Y" * n, "Z" * n, ("XZY" * n)[:n]][:len(seeds)]
+    out = sample_bases(circuit, n_shots, seeds, bases, noise)
+    assert len(out) == len(seeds)
+    for shots, seed, basis in zip(out, seeds, bases):
+        assert same_shots(shots, sample_shots(circuit, n_shots, seed, basis=basis, noise=noise)), (seed, basis)
+
+
+class TestSampleBases:
+    @pytest.mark.parametrize("noise", [None, NoiseModel(), NoiseModel(p2=0.3, reset_error=0.05, readout_flip=0.1)],
+                             ids=["noiseless", "default", "heavy"])
+    def test_equals_one_sample_shots_call_per_pair(self, noise):
+        assert_matches_one_call_per_pair(pinned_circuit(), 400, [11, 12, 13, 11], noise)
+
+    def test_enumerated_fragment_with_keep_rules_and_classical_control(self):
+        circuit = keep_rule_fragment()
+        noise = NoiseModel(p2=0.3, reset_error=0.05, readout_flip=0.1)
+        assert_matches_one_call_per_pair(circuit, 300, [5, 6, 7], noise)
+        out = sample_bases(circuit, 300, [5, 6, 7], ["XXXX", "YYYY", "ZZZZ"], noise)
+        assert all(len(np.unique(o.clbits[:, 0])) == 2 for o in out)  # the keep rule sees both outcomes
+
+    def test_runs_spanning_blocks(self, monkeypatch):
+        circuit, noise, seeds = pinned_circuit(), NoiseModel(p2=0.3, reset_error=0.05, readout_flip=0.1), [4, 9, 2]
+        bases = ["XXXXX", "YZXZY", "ZZZZZ"]
+        whole = sample_bases(circuit, 50, seeds, bases, noise)
+        monkeypatch.setattr(sim, "_BLOCK_AMPLITUDES", 1 << 10)  # 16-shot blocks, which straddle the pairs
+        assert 50 % (sim._BLOCK_AMPLITUDES >> 6)
+        assert_matches_one_call_per_pair(circuit, 50, seeds, noise)
+        for a, b in zip(sample_bases(circuit, 50, seeds, bases, noise), whole):
+            assert same_shots(a, b)
+
+    def test_noiseless_block_keeps_one_column_until_its_first_measurement(self, monkeypatch):
+        log = column_log(monkeypatch)
+        circuit = pinned_circuit()
+        first = next(i for i, g in enumerate(circuit.gates) if g.kind.value == "MEASURE_Z")
+        sample_bases(circuit, 200, [1, 2, 3], ["XXXXX", "YYYYY", "ZZZZZ"])
+        assert [c for i, c in log if i < first] == [1] * first
+        assert max(c for i, c in log if i > first) > 1  # the measurement split the shots by outcome
+
+    def test_block_never_holds_more_columns_than_shots(self, monkeypatch):
+        log = column_log(monkeypatch)
+        monkeypatch.setattr(sim, "_BLOCK_AMPLITUDES", 1 << 10)  # 16-shot blocks at n = 5
+        noise = NoiseModel(p1=0.3, p2=0.3, reset_error=0.3)
+        sample_bases(pinned_circuit(), 40, [1, 2, 3], ["XXXXX", "YYYYY", "ZZZZZ"], noise)
+        columns = [c for _, c in log]
+        assert max(columns) <= 16
+        assert max(columns) > 8  # heavy noise sends most shots down histories of their own
+
+    def test_gate_operators_are_built_once_per_call(self, monkeypatch):
+        built = []
+        real = sim.gate_matrix
+        monkeypatch.setattr(sim, "gate_matrix", lambda g: built.append(g) or real(g))
+        monkeypatch.setattr(sim, "_BLOCK_AMPLITUDES", 1 << 10)
+        circuit = pinned_circuit()
+        sample_bases(circuit, 100, [1, 2, 3], ["XXXXX", "YYYYY", "ZZZZZ"], LAW_NOISE)
+        dense = [g for g in circuit.gates if g.kind.value not in ("MEASURE_Z", "RESET", "RZ", "RZZ")]
+        assert len(built) == len(dense)
+
+    def test_validation(self):
+        c = Circuit(2)
+        with pytest.raises(ValueError, match="one seed per basis"):
+            sample_bases(c, 10, [1, 2], ["XX"])
+        with pytest.raises(ValueError, match="one seed per basis"):
+            sample_bases(c, 10, [], [])
+        with pytest.raises(ValueError, match="seed"):
+            sample_bases(c, 10, [1, -2], ["XX", "ZZ"])
+        with pytest.raises(ValueError, match="basis"):
+            sample_bases(c, 10, [1, 2], ["XX", "XQ"])
+        with pytest.raises(ValueError, match="n_shots"):
+            sample_bases(c, 0, [1], ["XX"])
+        with pytest.raises(ResourceLimitError):
+            sample_bases(Circuit(17), 1, [0], ["Z" * 17])
