@@ -51,6 +51,7 @@ from .qpd import (
 )
 from .sim import (
     DensityMatrix,
+    FragmentRun,
     PauliObservable,
     Shots,
     StateVector,
@@ -59,6 +60,7 @@ from .sim import (
     run_density,
     run_statevector,
     sample_bases,
+    sample_fragments,
     sample_shots,
 )
 from .tfim import TfimParams, TrotterBuild, build_trotter_circuit, exact_reference, magnetization

@@ -16,6 +16,7 @@ files.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import numbers
 import time
@@ -27,7 +28,7 @@ from .circuit import count_gates
 from .errors import ResourceLimitError
 from .noise import NoiseModel
 from .qpd import build_enumerated_fragments, build_grouped_fragments, run_enumerated_exact
-from .sim import PauliObservable, sample_bases
+from .sim import FragmentRun, PauliObservable, sample_fragments
 from .tfim import TfimParams, TrotterBuild, build_trotter_circuit, exact_reference, magnetization
 
 RUN_VARIANTS = ("routed_original", "vtqg", "vtqg_pet")
@@ -125,8 +126,82 @@ class ResultRecord:
     wall_ms: float
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _words32(value: int) -> list[int]:
+    """The 32-bit words of a non-negative integer, least significant first; [0] for 0."""
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _hashmix(value: int, hash_const: int) -> tuple[int, int]:
+    """SeedSequence's hashmix: the hashed word and the next hash constant."""
+    value ^= hash_const
+    hash_const = (hash_const * _MULT_A) & _MASK32
+    value = (value * hash_const) & _MASK32
+    return value ^ (value >> 16), hash_const
+
+
+def _mix(x: int, y: int) -> int:
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ (result >> 16)
+
+
+@functools.lru_cache(maxsize=256)
+def _entropy_pool(words: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """SeedSequence's pool and hash constant after mixing in `words`.
+
+    The pool after words past the fourth depends only on the pool before
+    them, so it is cached by prefix: child seeds that share (seed, key
+    prefix) hash only their own last words.
+    """
+    if len(words) > _POOL_SIZE:
+        pool, hash_const = _entropy_pool(words[:-1])
+        pool = list(pool)
+        for dst in range(_POOL_SIZE):
+            value, hash_const = _hashmix(words[-1], hash_const)
+            pool[dst] = _mix(pool[dst], value)
+        return tuple(pool), hash_const
+    pool, hash_const = [], _INIT_A
+    for word in words + (0,) * (_POOL_SIZE - len(words)):
+        value, hash_const = _hashmix(word, hash_const)
+        pool.append(value)
+    for src in range(_POOL_SIZE):  # mix every word into every other, so late words reach early ones
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], value)
+    return tuple(pool), hash_const
+
+
 def _child_seed(seed: int, *key: int) -> int:
-    return int(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)).generate_state(1, np.uint64)[0])
+    """`np.random.SeedSequence(seed, spawn_key=key).generate_state(1, np.uint64)[0]`, in pure Python.
+
+    The same hash word for word, so every stream is the one numpy would
+    derive, without importing numpy.random (about 20 ms and 5 MB).
+    """
+    entropy = _words32(seed)
+    spawn = [w for k in key for w in _words32(k)]
+    if spawn:  # run entropy is zero-padded to the pool so it cannot alias a spawn key
+        entropy += [0] * (_POOL_SIZE - len(entropy))
+    pool, _ = _entropy_pool(tuple(entropy + spawn))
+    hash_const, state = _INIT_B, 0
+    for i in range(2):  # generate_state(1, uint64): two 32-bit words, low word first
+        value = pool[i] ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = (value * hash_const) & _MASK32
+        state |= (value ^ (value >> 16)) << (32 * i)
+    return state
 
 
 def _signed_qubit_means(shots, keep_rules) -> np.ndarray:
@@ -153,14 +228,17 @@ def _execute_sampling(build: TrotterBuild, config: ExperimentConfig, seed_rep: i
     fragments = builder(build.circuit, build.cuts)
     total_abs = sum(abs(f.weight) for f in fragments)
     noise = None if config.noise.is_zero else config.noise
-    acc = [np.zeros(n) for _ in range(3)]
+    bases = [pauli * n for pauli in "XYZ"]
+    runs = []
     for k, frag in enumerate(fragments):
         if config.shot_allocation == "proportional":
             shots = max(1, round(config.shots * abs(frag.weight) / total_abs))
         else:
             shots = config.shots
         seeds = [_child_seed(seed_rep, variant_index, k, j) for j in range(3)]
-        per_basis = sample_bases(frag.circuit, shots, seeds, [pauli * n for pauli in "XYZ"], noise=noise)
+        runs.append(FragmentRun(frag.circuit, shots, seeds, bases, frag.insertions))
+    acc = [np.zeros(n) for _ in range(3)]
+    for frag, per_basis in zip(fragments, sample_fragments(runs, noise)):
         for j, outcomes in enumerate(per_basis):
             acc[j] += frag.weight * _signed_qubit_means(outcomes, frag.keep_rules)
     return [list(a) for a in acc], len(fragments)

@@ -567,13 +567,16 @@ class SampledFragment:
     `weight` multiplies the (sign-accumulated) shot average.  `keep_rules`
     lists (clbit, required value) pairs: shots whose mid-circuit outcomes
     disagree contribute zero (that realizes a one-sided projector).
-    `options` holds the option chosen at each cut, in cut order.
+    `options` holds the option chosen at each cut, in cut order, and
+    `insertions` the (position in the cut circuit, count) of the gates it
+    inserted there, the form `sim.sample_fragments` takes.
     """
 
     weight: float
     circuit: Circuit
     keep_rules: tuple[tuple[int, int], ...] = ()
     options: tuple[CutOption, ...] = ()
+    insertions: tuple[tuple[int, int], ...] = ()
 
 
 def _build_fragments(circuit: Circuit, cuts, options_for) -> list[SampledFragment]:
@@ -599,7 +602,8 @@ def _build_fragments(circuit: Circuit, cuts, options_for) -> list[SampledFragmen
         out = circuit
         for cut, gates in reversed(list(zip(cuts, per_cut))):  # back to front keeps positions valid
             out = out.with_inserted(cut.position, gates, n_clbits=n_clbits)
-        fragments.append(SampledFragment(weight, out, tuple(keeps), combo))
+        insertions = tuple((cut.position, len(gates)) for cut, gates in zip(cuts, per_cut))
+        fragments.append(SampledFragment(weight, out, tuple(keeps), combo, insertions))
     return fragments
 
 

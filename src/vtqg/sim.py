@@ -15,16 +15,22 @@ tensor with one column per distinct history as its trailing axis,
 kernels below apply to every history at once.  All shots start in one
 column; a column splits only where its shots diverge (the Pauli a noise
 event drew, a measurement or reset outcome), so a block never holds more
-columns than shots.  `sample_bases` runs the shots of several (seed, basis)
-pairs in one pass: they share columns until a last split by basis, just
-before the basis rotations.  Every random number is a
-counter-based uniform u(seed, shot, draw), output `draw` of a SplitMix64
-stream whose state starts at a hash of (seed, shot), and each gate owns fixed
-draw slots.  A shot's outcome therefore depends only on (circuit, seed, shot
+columns than shots.  `sample_fragments` runs the shots of every fragment
+of a cut circuit, each in several (seed, basis) pairs, in one pass: they
+share columns through the gates all fragments have in common, split at each
+cut by the gates their fragments insert there (each inserted sequence acts
+only on its own columns, the shared gates after the cut on every column at
+once), and split last by basis, just before the basis rotations.
+`sample_bases` and `sample_shots` are its one-fragment cases.  Every random
+number is a counter-based uniform u(seed, shot, draw), output `draw` of a
+SplitMix64 stream whose state starts at a hash of (seed, shot), and each gate
+owns fixed draw slots; in a fragment, the slots of the fragment's own gate
+index.  A shot's outcome therefore depends only on (circuit, seed, shot
 index): a (circuit, seed, n_shots) triple reproduces bit-identical outcomes
-on any platform, a shorter run is a prefix of a longer one, and the split
-into blocks changes nothing.  These streams replaced one PCG64 SeedSequence
-stream per shot, so sampled bits differ from that earlier sampler.
+on any platform, a shorter run is a prefix of a longer one, and neither the
+split into blocks nor sharing a pass with other fragments changes a stream
+or a shot.  These streams replaced one PCG64 SeedSequence stream per shot,
+so sampled bits differ from that earlier sampler.
 
 A block draws the uniforms it reads as a table [shots, draws] from the same
 streams and slots: measurement outcomes and noise events up front, in chunks
@@ -41,6 +47,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -516,6 +523,8 @@ _SLOT_INDEX, _SLOT_FLIP = 0, 1                     # terminal: basis state, then
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+# Added to a stream key, moves every draw of the stream on by one gate's slots.
+_GATE_DRAWS = np.uint64((_DRAWS_PER_GATE * 0x9E3779B97F4A7C15) & _MASK64)
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -528,20 +537,24 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _shot_keys(seed: int, start: int, stop: int) -> np.ndarray:
-    """Stream key of each shot in [start, stop): every 64-bit word of the seed, then the index."""
-    key = np.zeros(1, dtype=np.uint64)
-    while True:
-        key = _mix64(key ^ np.uint64(seed & _MASK64))
-        seed >>= 64
-        if not seed:
-            break
-    return _mix64(key ^ _mix64(np.arange(start, stop, dtype=np.uint64) * _GOLDEN))
+def _seed_keys(seeds: list[int]) -> np.ndarray:
+    """Each seed's part of its shots' stream keys: every 64-bit word of the seed mixed in, low word first."""
+    words = []
+    for seed in seeds:
+        words.append([seed & _MASK64])
+        while seed >> 64:
+            seed >>= 64
+            words[-1].append(seed & _MASK64)
+    keys = np.zeros(len(seeds), dtype=np.uint64)
+    for t in range(max(map(len, words))):
+        live = [i for i, w in enumerate(words) if len(w) > t]
+        keys[live] = _mix64(keys[live] ^ np.array([words[i][t] for i in live], dtype=np.uint64))
+    return keys
 
 
 def _uniforms(keys: np.ndarray, draws) -> np.ndarray:
     """u(seed, shot, draw) in [0, 1): output `draw` of a SplitMix64 stream started at the shot key."""
-    steps = (np.asarray(draws, dtype=np.uint64).reshape(-1) + np.uint64(1)) * _GOLDEN
+    steps = (np.array(draws, dtype=np.uint64, ndmin=1) + np.uint64(1)) * _GOLDEN
     z = _mix64(keys + steps)
     z >>= np.uint64(11)
     return z * 2.0**-53
@@ -598,18 +611,19 @@ def _shot_kernels(circuit: Circuit) -> list:
     return kernels
 
 
-_LABELS = 16  # labels of a split: a measurement outcome, or the Pauli code of a two-qubit noise event
+_PAULI_LABELS = 16  # labels of a noise split: the Pauli code of a two-qubit event
 
 
-def _regroup(col: np.ndarray, moved: np.ndarray, label: np.ndarray):
-    """Move shots `moved` to one new column per distinct (column, label) pair.
+def _regroup(col: np.ndarray, moved: np.ndarray, label: np.ndarray, span: int):
+    """Move shots `moved` to one new column per distinct (column, label) pair; labels lie in [0, span).
 
     Columns left with no shot are dropped, so every column holds a shot and
     there are never more columns than shots.  Returns (col, parent, labels):
-    each shot's new column, and for each column the column it copies and its
-    label, 0 for a column that kept its shots.  The kept columns come first.
+    each shot's new column, for each column the column it copies, and the
+    label of each new column.  The kept columns come first and the new ones
+    last, so the new columns are the last len(labels).
     """
-    pairs, inverse = np.unique(col[moved] * _LABELS + label, return_inverse=True)
+    pairs, inverse = np.unique(col[moved] * span + label, return_inverse=True)
     remaining = np.bincount(col)
     remaining -= np.bincount(col[moved], minlength=len(remaining))
     kept = np.flatnonzero(remaining)
@@ -617,9 +631,7 @@ def _regroup(col: np.ndarray, moved: np.ndarray, label: np.ndarray):
     remap[kept] = np.arange(len(kept))
     col = remap[col]
     col[moved] = len(kept) + inverse
-    parent = np.concatenate([kept, pairs // _LABELS])
-    labels = np.concatenate([np.zeros(len(kept), dtype=np.intp), pairs % _LABELS])
-    return col, parent, labels
+    return col, np.concatenate([kept, pairs // span]), pairs % span
 
 
 def _one_probability(psi: np.ndarray, q: int) -> np.ndarray:
@@ -663,95 +675,226 @@ def _apply_paulis(psi: np.ndarray, qubits, codes: np.ndarray) -> np.ndarray:
     return psi
 
 
-def _draw_chunk(circuit: Circuit, keys: np.ndarray, strengths, start: int):
-    """The draw table [shots, draws] of the gates from `start` on, drawn before they run.
+class FragmentRun(NamedTuple):
+    """One fragment's shots in a `sample_fragments` pass: `sample_bases` arguments plus insertions.
 
-    A measurement or reset reads its outcome slot and a gate of strength > 0
-    its event slot; Pauli slots are drawn later, for the shots an event hit.
-    The table takes gates until it would pass 2^n columns, so it is never
-    wider than the state.  Returns (table, column of each slot, for each gate
-    whose noise event fired on some shot the indices of those shots, and the
-    first gate the table does not cover).  Every event column is compared
-    with its gate's strength at once, so a gate that no shot's noise hit
-    costs only its unitary.
+    `insertions` lists (position, count) for each cut in circuit order: the
+    fragment is a shared circuit with `count` gates inserted before that
+    circuit's gate `position`.  A circuit sampled on its own has none.
     """
-    gates, width = circuit.gates, 1 << circuit.n_qubits
-    slots, noisy, stop = [], [], start
+
+    circuit: Circuit
+    n_shots: int
+    seeds: tuple[int, ...]
+    bases: tuple[str, ...]
+    insertions: tuple[tuple[int, int], ...] = ()
+
+
+class _Program(NamedTuple):
+    """The steps of a pass: the shared gates once, then at each cut each distinct inserted sequence once.
+
+    Step i runs gate i of `circuit`.  In run r it is gate index[i] +
+    offsets[segment[i], r] of the fragment, where offsets[s, r] counts the
+    gates run r inserted at the cuts before segment s, so it reads that
+    gate's draw slots.  group[i] is None for a step every shot takes, or
+    (cut, label) for one that only shots whose run has labels[cut, r] ==
+    label take.  splits maps a step to the cut whose groups it starts, where
+    columns split by label.  length is the shared circuit's gate count.
+    """
+
+    circuit: Circuit
+    index: list
+    segment: list
+    group: list
+    splits: dict
+    labels: np.ndarray
+    offsets: np.ndarray
+    length: int
+
+
+def _fragment_program(runs: list[FragmentRun]) -> _Program:
+    """Merge the runs' circuits, which must be one shared circuit with gates inserted at the same positions."""
+    first = runs[0].circuit
+    positions = [p for p, _ in runs[0].insertions]
+    shared, pieces = None, []
+    for run in runs:
+        gates, at, done, own, rest = run.circuit.gates, 0, 0, [], []
+        if (run.circuit.n_qubits, run.circuit.n_clbits) != (first.n_qubits, first.n_clbits):
+            raise ValueError("every fragment needs the same qubits and classical bits")
+        if [p for p, _ in run.insertions] != positions:
+            raise ValueError("every fragment needs the same insertion positions")
+        for p, count in run.insertions:
+            start = at + p - done  # the inserted gates' first index in this fragment
+            if count < 0 or p < done or start + count > len(gates):
+                raise ValueError(f"insertion ({p}, {count}) does not fit the fragment")
+            rest.append(gates[at:start])
+            own.append(gates[start:start + count])
+            at, done = start + count, p
+        base = tuple(itertools.chain(*rest, gates[at:]))
+        if shared is None:
+            shared = base
+        elif base != shared:
+            raise ValueError("fragments differ outside their insertions")
+        pieces.append(own)
+    steps, index, segment, group, splits = [], [], [], [], {}
+
+    def add(gates, first_index, k, tag):
+        steps.extend(gates)
+        index.extend(range(first_index, first_index + len(gates)))
+        segment.extend([k] * len(gates))
+        group.extend([tag] * len(gates))
+
+    labels = np.zeros((len(positions), len(runs)), dtype=np.intp)
+    done = 0
+    for k, p in enumerate(positions):
+        add(shared[done:p], done, k, None)
+        distinct = {}
+        for r, own in enumerate(pieces):
+            labels[k, r] = distinct.setdefault(own[k], len(distinct))
+        if len(distinct) > 1:
+            splits[len(steps)] = k
+        for piece, label in distinct.items():
+            add(piece, p, k, (k, label) if len(distinct) > 1 else None)
+        done = p
+    add(shared[done:], done, len(positions), None)
+    offsets = np.zeros((len(positions) + 1, len(runs)), dtype=np.intp)
+    if positions:
+        offsets[1:] = np.cumsum([[len(own[k]) for own in pieces] for k in range(len(positions))], axis=0)
+    circuit = first if tuple(steps) == first.gates else Circuit(first.n_qubits, first.n_clbits, tuple(steps))
+    return _Program(circuit, index, segment, group, splits, labels, offsets, len(shared))
+
+
+def _draw_chunk(program: _Program, keys: np.ndarray, strengths, present, start: int):
+    """The draw table [shots, draws] of the steps from `start` on, drawn before they run.
+
+    keys [segments, shots] holds each shot's stream key shifted by its
+    run's offset in each segment, and `present` the groups with a shot in
+    the block; a step of any other group draws nothing.  A measurement or
+    reset reads its outcome slot and a step of strength > 0 its event slot;
+    Pauli slots are drawn later, for the shots an event hit.  The table
+    takes steps until it would pass 2^n columns, so it is never wider than
+    the state.  Returns (table, the column of each step's outcome draw, for
+    each step whose noise event fired on some shot the indices of those
+    shots, and the first step the table does not cover).  Every event column
+    is compared with its step's strength at once, so a step that no shot's
+    noise hit costs only its unitary.
+    """
+    gates, width = program.circuit.gates, 1 << program.circuit.n_qubits
+    slots, outcome, noisy, stop = [], {}, [], start
     while stop < len(gates):
-        measured = gates[stop].kind in (GateKind.MEASURE_Z, GateKind.RESET)
-        has_noise = strengths[stop] > 0.0
+        group = program.group[stop]
+        taken = group is None or group in present
+        measured = taken and gates[stop].kind in (GateKind.MEASURE_Z, GateKind.RESET)
+        has_noise = taken and strengths[stop] > 0.0
         if len(slots) + measured + has_noise > width:
             break
+        draw = _DRAWS_PER_GATE * program.index[stop]
         if measured:
-            slots.append(_DRAWS_PER_GATE * stop + _SLOT_OUTCOME)
+            outcome[stop] = len(slots)
+            slots.append((program.segment[stop], draw + _SLOT_OUTCOME))
         if has_noise:
-            slots.append(_DRAWS_PER_GATE * stop + _SLOT_EVENT)
-            noisy.append(stop)
+            noisy.append((stop, len(slots)))
+            slots.append((program.segment[stop], draw + _SLOT_EVENT))
         stop += 1
-    u = _uniforms(keys[:, None], slots)
-    column = {draw: j for j, draw in enumerate(slots)}
-    hits = u[:, [column[_DRAWS_PER_GATE * i + _SLOT_EVENT] for i in noisy]] < [strengths[i] for i in noisy]
-    fired = {noisy[j]: np.flatnonzero(hits[:, j]) for j in np.flatnonzero(hits.any(axis=0))}
-    return u, column, fired, stop
+    u = np.empty((keys.shape[1], len(slots)))
+    j = 0
+    for segment, run in itertools.groupby(slots, key=lambda slot: slot[0]):  # steps come in segment order
+        draws = [draw for _, draw in run]
+        u[:, j:j + len(draws)] = _uniforms(keys[segment][:, None], draws)
+        j += len(draws)
+    hits = u[:, [column for _, column in noisy]] < [strengths[i] for i, _ in noisy]
+    fired = {noisy[j][0]: np.flatnonzero(hits[:, j]) for j in np.flatnonzero(hits.any(axis=0))}
+    return u, outcome, fired, stop
 
 
-def _sample_block(circuit: Circuit, kernels, keys: np.ndarray, which: np.ndarray, bases,
-                  strengths, readout_flip: float):
+def _sample_block(program: _Program, kernels, strengths, keys: np.ndarray, run: np.ndarray,
+                  which: np.ndarray, bases, readout_flip: float):
     """Advance a block of shots together; shots with the same history share one state column.
 
-    keys [shots] are the shots' stream keys and which [shots] the index of
-    each shot's basis in `bases`.  The state is one tensor [2]*n + [columns],
-    col[shot] names each shot's column, and clbits and sign are per column.
-    Every shot starts in one column holding |0...0>.  A column splits only
-    where its shots diverge: by the Pauli a noise event drew (an all-I draw
-    changes nothing), by the outcome of a measurement or reset, and, last,
-    by basis before the basis rotations.  Returns bits, clbits and sign, one
-    row per shot.
+    keys [shots] are the shots' stream keys, run [shots] the index of each
+    shot's run and which [shots] the index of its basis in `bases`.  The
+    state is one tensor [2]*n + [columns], col[shot] names each shot's
+    column, and clbits and sign are per column.  Every shot starts in one
+    column holding |0...0>.  A column splits only where its shots diverge:
+    at a cut, by the gates their runs insert there; by the Pauli a noise
+    event drew (an all-I draw changes nothing); by the outcome of a
+    measurement or reset; and, last, by basis before the basis rotations.
+    Returns bits, clbits and sign, one row per shot.
     """
+    circuit = program.circuit
     n, shots = circuit.n_qubits, len(keys)
+    keys = keys + program.offsets[:, run].astype(np.uint64) * _GATE_DRAWS  # [segments, shots]
+    member = program.labels[:, run]  # [cuts, shots]: each shot's label at each cut
+    present = {(cut, int(label)) for cut, labels in enumerate(member) for label in np.unique(labels)}
     psi = np.zeros([2] * n + [1], dtype=complex)
     psi[(0,) * n] = 1.0
     col = np.zeros(shots, dtype=np.intp)
     clbits = np.zeros((1, circuit.n_clbits), dtype=np.uint8)
     sign = np.ones(1, dtype=np.int8)
+    every = np.arange(shots)
     stop = 0
     for i, g in enumerate(circuit.gates):
         if i == stop:
-            u, column, fired, stop = _draw_chunk(circuit, keys, strengths, i)
-        draw = _DRAWS_PER_GATE * i
-        active = None
+            u, outcome_at, fired, stop = _draw_chunk(program, keys, strengths, present, i)
+        cut = program.splits.get(i)
+        if cut is not None:  # label 0 keeps its columns; every other label moves to columns of its own
+            moved = np.flatnonzero(member[cut])
+            if moved.size:
+                col, parent, _ = _regroup(col, moved, member[cut, moved], int(member[cut].max()) + 1)
+                psi = np.take(psi, parent, axis=-1)
+                clbits, sign = clbits[parent], sign[parent]
+        inside = None  # the shots step i acts on, None for every shot
+        if program.group[i] is not None:
+            if program.group[i] not in present:
+                continue
+            cut, label = program.group[i]
+            inside = member[cut] == label
+            if inside.all():
+                inside = None
+        on = None  # the columns a classically controlled step fires in
         if kernels[i] is None:  # a measurement or reset
             q = g.qubits[0]
             p1 = _one_probability(psi, q)
-            outcome = u[:, column[draw + _SLOT_OUTCOME]] < p1[col]
-            col, parent, labels = _regroup(col, np.arange(shots), outcome)
-            psi = _collapse(np.take(psi, parent, axis=-1), q, labels == 1, p1[parent], g.kind == GateKind.RESET)
+            rows = every if inside is None else np.flatnonzero(inside)
+            outcome = u[rows, outcome_at[i]] < p1[col[rows]]
+            col, parent, labels = _regroup(col, rows, outcome, 2)
+            kept = len(parent) - len(labels)
+            psi = np.take(psi, parent, axis=-1)
+            psi[..., kept:] = _collapse(psi[..., kept:], q, labels == 1, p1[parent[kept:]],
+                                        g.kind == GateKind.RESET)
             clbits, sign = clbits[parent], sign[parent]
             if g.clbit is not None:
-                clbits[:, g.clbit] = labels
+                clbits[kept:, g.clbit] = labels
             if g.signed:
-                sign[labels == 1] *= -1
-        elif g.kind == GateKind.CLASSICALLY_CONTROLLED:
-            active = clbits[:, g.clbit] == 1
-            psi = np.where(active, kernels[i](psi), psi)
+                sign[kept + np.flatnonzero(labels)] *= -1
         else:
-            psi = kernels[i](psi)
+            active = None
+            if inside is not None:
+                active = np.zeros(len(sign), dtype=bool)
+                active[col[inside]] = True
+            if g.kind == GateKind.CLASSICALLY_CONTROLLED:
+                on = clbits[:, g.clbit] == 1
+                active = on if active is None else active & on
+            psi = kernels[i](psi) if active is None else np.where(active, kernels[i](psi), psi)
         hit = fired.get(i)
         if hit is not None:
-            if active is not None:
-                hit = hit[active[col[hit]]]
+            if inside is not None:
+                hit = hit[inside[hit]]
+            if on is not None:
+                hit = hit[on[col[hit]]]
             if hit.size:
                 k = np.arange(len(g.qubits))
-                paulis = _uniforms(keys[hit][:, None], draw + _SLOT_PAULI + k)
+                draws = _DRAWS_PER_GATE * program.index[i] + _SLOT_PAULI + k
+                paulis = _uniforms(keys[program.segment[i], hit][:, None], draws)
                 codes = ((4.0 * paulis).astype(np.intp) << (2 * k)).sum(axis=1)
                 moved = codes != 0  # an all-I draw leaves the state as it was
                 if moved.any():
-                    col, parent, labels = _regroup(col, hit[moved], codes[moved])
+                    col, parent, labels = _regroup(col, hit[moved], codes[moved], _PAULI_LABELS)
+                    kept = len(parent) - len(labels)
                     psi = np.take(psi, parent, axis=-1)
-                    new = np.flatnonzero(labels)
-                    psi[..., new] = _apply_paulis(psi[..., new], g.qubits, labels[new])
+                    psi[..., kept:] = _apply_paulis(psi[..., kept:], g.qubits, labels)
                     clbits, sign = clbits[parent], sign[parent]
-    terminal = _DRAWS_PER_GATE * len(circuit.gates)
+    terminal, keys = _DRAWS_PER_GATE * program.length, keys[-1]  # a run's terminal draws follow its last gate
     u_index = _uniforms(keys, terminal + _SLOT_INDEX)
     index = np.empty(shots, dtype=np.intp)
     for b, basis in enumerate(bases):
@@ -765,7 +908,13 @@ def _sample_block(circuit: Circuit, kernels, keys: np.ndarray, which: np.ndarray
                 phi = _apply_rows(phi, _BASIS_ROT[ch], q)
         cum = np.cumsum((phi.real**2 + phi.imag**2).reshape(-1, len(used)), axis=0)
         target = u_index[rows] * cum[-1, pos]
-        index[rows] = np.minimum(np.count_nonzero(cum[:, pos] <= target, axis=0), 2**n - 1)
+        # Each column of cum is non-decreasing, so its entries <= target are counted in two
+        # passes: whole blocks of `width` entries, then entries of the block that holds the end.
+        width = 1 << (n // 2)
+        start = np.count_nonzero(cum[width - 1::width, pos] <= target, axis=0)
+        start = np.minimum(start, (2**n // width) - 1) * width
+        found = start + np.count_nonzero(cum[start + np.arange(width)[:, None], pos] <= target, axis=0)
+        index[rows] = np.minimum(found, 2**n - 1)
     bits = ((index[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
     if readout_flip > 0.0:
         draws = terminal + _SLOT_FLIP + np.arange(n)
@@ -787,14 +936,8 @@ class Shots:
     sign: np.ndarray
 
 
-def sample_bases(circuit: Circuit, n_shots: int, seeds, bases, noise=None) -> list[Shots]:
-    """`sample_shots` for each (seed, basis) pair of `seeds` and `bases`, in one pass.
-
-    Returns one `Shots` per pair, equal bit for bit to
-    `sample_shots(circuit, n_shots, seed, basis, noise)`.  The shots of every
-    pair share state columns until a last split by basis, just before the
-    basis rotations, and each gate's operator is built once for the call.
-    """
+def _checked_run(circuit: Circuit, n_shots, seeds, bases, insertions=()) -> FragmentRun:
+    """A run's fields checked as `sample_bases` checks its arguments, as plain Python values."""
     if isinstance(n_shots, bool) or not isinstance(n_shots, numbers.Integral):
         raise ValueError(f"n_shots must be an integer, got {n_shots!r}")
     if n_shots < 1:
@@ -805,32 +948,80 @@ def sample_bases(circuit: Circuit, n_shots: int, seeds, bases, noise=None) -> li
     for seed in seeds:
         if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
             raise ValueError("seed must be a non-negative integer")
-    seeds = [int(seed) for seed in seeds]  # _shot_keys needs Python's unbounded integers
     n = circuit.n_qubits
     if n > STATEVECTOR_QUBIT_CAP:  # every column holds 2^n amplitudes
         raise ResourceLimitError(f"{n} qubits exceeds statevector cap {STATEVECTOR_QUBIT_CAP}")
-    bases = [str(basis) for basis in bases]
+    bases = tuple(str(basis) for basis in bases)
     for basis in bases:
         if len(basis) != n or any(ch not in "XYZ" for ch in basis):
             raise ValueError(f"basis must be one of X/Y/Z per qubit, got {basis!r}")
+    # _seed_keys needs Python's unbounded integers
+    return FragmentRun(circuit, int(n_shots), tuple(int(seed) for seed in seeds), bases,
+                       tuple((int(p), int(count)) for p, count in insertions))
+
+
+def sample_fragments(runs, noise=None):
+    """`sample_bases` for the fragments of one cut circuit, in one pass.
+
+    `runs` holds one `FragmentRun` (or its fields) per fragment: every
+    fragment is the same shared circuit with gates inserted at the same
+    positions, which its `insertions` name.  Yields one list of `Shots` per
+    run, in run order, as soon as its shots are done, each equal bit for bit
+    to `sample_bases(run.circuit, run.n_shots, run.seeds, run.bases, noise)`.
+    The shots of every (run, seed, basis) triple run as one sequence of
+    blocks.  They share state columns through the shared gates; at each cut
+    the columns split by the gates their runs insert there, each inserted
+    sequence acts only on its own columns, and the shared gates after the
+    cut act on every column at once.  A shot reads its draws from its own
+    fragment's gate slots.  Each step's operator is built once for the pass,
+    and a block's shots are handed out as their runs finish, so memory stays
+    bounded at any number of runs.
+    """
+    runs = [_checked_run(*run) for run in runs]
+    if not runs:
+        raise ValueError("need at least one fragment")
+    program = _fragment_program(runs)
+    circuit = program.circuit
     if noise is None or getattr(noise, "is_zero", False):
         strengths, readout_flip = [0.0] * len(circuit.gates), 0.0
     else:
         strengths, readout_flip = [noise.strength_for(g) for g in circuit.gates], noise.readout_flip
     kernels = _shot_kernels(circuit)
-    # Shot s of pair b is entry b * n_shots + s; blocks are runs of entries.
-    block, total = max(1, _BLOCK_AMPLITUDES >> (n + 1)), len(bases) * n_shots
-    parts = []
+    bases = list(dict.fromkeys(basis for run in runs for basis in run.bases))
+    pair_run = np.array([r for r, run in enumerate(runs) for _ in run.seeds])
+    pair_basis = np.array([bases.index(basis) for run in runs for basis in run.bases])
+    pair_shots = np.array([run.n_shots for run in runs for _ in run.seeds])
+    seed_keys = _seed_keys([seed for run in runs for seed in run.seeds])
+    ends = np.cumsum(pair_shots)
+    # Shot s of pair p is entry ends[p] - pair_shots[p] + s; blocks are runs of entries.
+    block, total = max(1, _BLOCK_AMPLITUDES >> (circuit.n_qubits + 1)), int(ends[-1])
+    pending, first, r = None, 0, 0  # shots not yet handed out, the entry of the first, and its run
     for start in range(0, total, block):
         stop = min(start + block, total)
-        pairs = range(start // n_shots, (stop - 1) // n_shots + 1)
-        keys = np.concatenate([_shot_keys(seeds[b], max(start - b * n_shots, 0), min(stop - b * n_shots, n_shots))
-                               for b in pairs])
-        which = np.arange(start, stop) // n_shots
-        parts.append(_sample_block(circuit, kernels, keys, which, bases, strengths, readout_flip))
-    bits, clbits, sign = (np.concatenate(column) for column in zip(*parts))
-    return [Shots(bits[b * n_shots:(b + 1) * n_shots], clbits[b * n_shots:(b + 1) * n_shots],
-                  sign[b * n_shots:(b + 1) * n_shots]) for b in range(len(bases))]
+        entry = np.arange(start, stop)
+        pair = np.searchsorted(ends, entry, side="right")
+        shot = (entry - ends[pair] + pair_shots[pair]).astype(np.uint64)
+        keys = _mix64(seed_keys[pair] ^ _mix64(shot * _GOLDEN))
+        part = _sample_block(program, kernels, strengths, keys, pair_run[pair], pair_basis[pair], bases,
+                             readout_flip)
+        pending = part if pending is None else [np.concatenate(c) for c in zip(pending, part)]
+        while r < len(runs) and first + len(runs[r].seeds) * runs[r].n_shots <= stop:
+            m, count = runs[r].n_shots, len(runs[r].seeds)
+            yield [Shots(*(c[j * m:(j + 1) * m] for c in pending)) for j in range(count)]
+            pending = [c[count * m:] for c in pending]
+            first, r = first + count * m, r + 1
+
+
+def sample_bases(circuit: Circuit, n_shots: int, seeds, bases, noise=None) -> list[Shots]:
+    """`sample_shots` for each (seed, basis) pair of `seeds` and `bases`, in one pass.
+
+    Returns one `Shots` per pair, equal bit for bit to
+    `sample_shots(circuit, n_shots, seed, basis, noise)`.  The shots of every
+    pair share state columns until a last split by basis, just before the
+    basis rotations, and each gate's operator is built once for the call.
+    This is the one-fragment case of `sample_fragments`.
+    """
+    return next(sample_fragments([(circuit, n_shots, seeds, bases)], noise))
 
 
 def sample_shots(circuit: Circuit, n_shots: int, seed: int,

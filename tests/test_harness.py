@@ -1,4 +1,10 @@
+import hashlib
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +22,10 @@ from vtqg.harness import (
     report_summary,
     run_experiment,
 )
+import vtqg
 from vtqg import qpd
 from vtqg.circuit import rzz
+from vtqg.harness import _child_seed
 from vtqg.noise import NoiseModel
 from vtqg.sim import DensityMatrix, apply_gates_density
 from vtqg.tfim import TfimParams, build_trotter_circuit, exact_reference, magnetization, pauli_components
@@ -167,30 +175,31 @@ class TestRunExperiment:
     def test_enumerated_sampling_executes_ten_fragments_times_three_bases(self, monkeypatch):
         import vtqg.harness as harness_mod
         calls = []
-        real = harness_mod.sample_bases
+        real = harness_mod.sample_fragments
 
-        def spy(circuit, n_shots, seeds, bases, noise=None):
-            calls.append((n_shots, tuple(bases)))
-            return real(circuit, n_shots, seeds, bases, noise=noise)
+        def spy(runs, noise=None):
+            calls.append([(run.n_shots, tuple(run.bases)) for run in runs])
+            return real(runs, noise)
 
-        monkeypatch.setattr(harness_mod, "sample_bases", spy)
+        monkeypatch.setattr(harness_mod, "sample_fragments", spy)
         run_experiment(small_config(repetitions=1, mode="sampling", shots=16,
                                     variants=("vtqg",), sampling_strategy="enumerated"))
-        assert len(calls) == 10  # 10 fragments, each sampled in its 3 measurement bases at once
-        assert all(bases == ("XXXX", "YYYY", "ZZZZ") for _, bases in calls)
+        (runs,) = calls  # one pass for the variant's repetition
+        assert len(runs) == 10  # 10 fragments, each sampled in its 3 measurement bases
+        assert all(bases == ("XXXX", "YYYY", "ZZZZ") for _, bases in runs)
 
     def test_proportional_allocation_splits_by_weight(self, monkeypatch):
         import vtqg.harness as harness_mod
         from vtqg.qpd import build_grouped_fragments
         from vtqg.tfim import build_trotter_circuit
         calls = []
-        real = harness_mod.sample_bases
+        real = harness_mod.sample_fragments
 
-        def spy(circuit, n_shots, seeds, bases, noise=None):
-            calls.append(n_shots)
-            return real(circuit, n_shots, seeds, bases, noise=noise)
+        def spy(runs, noise=None):
+            calls.append([run.n_shots for run in runs])
+            return real(runs, noise)
 
-        monkeypatch.setattr(harness_mod, "sample_bases", spy)
+        monkeypatch.setattr(harness_mod, "sample_fragments", spy)
         config = small_config(repetitions=1, mode="sampling", shots=6000,
                               variants=("vtqg",), shot_allocation="proportional")
         run_experiment(config)
@@ -198,8 +207,9 @@ class TestRunExperiment:
         weights = [f.weight for f in build_grouped_fragments(build.circuit, build.cuts)]
         total = sum(abs(w) for w in weights)
         expected = [max(1, round(6000 * abs(w) / total)) for w in weights]
-        assert calls == expected  # one call per fragment, for all three bases
-        assert max(calls) > min(calls)
+        (shots,) = calls  # one pass, with one run per fragment for all three bases
+        assert shots == expected
+        assert max(shots) > min(shots)
 
     def test_exact_mode_applies_readout_flip(self):
         # the sampler flips terminal bits with probability f, so every Bloch
@@ -364,3 +374,59 @@ class TestSummary:
             rows = {s.variant: s for s in report_summary(run_experiment(config))}
             summaries[n] = rows["routed_original"].abs_error - rows["vtqg"].abs_error
         assert summaries[4] < summaries[6] < summaries[8]
+
+
+class TestChildSeeds:
+    def test_equal_numpy_seed_sequence(self):
+        rng = random.Random(0)
+        cases = [(0,), (7,), (7, 0, 0, 0), (2**32, 1), (2**64 - 1, 2, 0, 1), (2**64 + 5, 2, 3, 4), (2**200 + 1,),
+                 (3, 2**32), (3, 2**70, 1)]
+        for _ in range(1500):
+            seed = rng.randrange(2 ** rng.choice((4, 31, 32, 64, 65, 128)))
+            key = tuple(rng.randrange(2 ** rng.choice((2, 16, 32, 33, 64))) for _ in range(rng.randrange(6)))
+            cases.append((seed,) + key)
+        for seed, *key in cases:
+            expected = np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)).generate_state(1, np.uint64)[0]
+            assert _child_seed(seed, *key) == int(expected), (seed, key)
+
+    def test_sampling_run_does_not_import_numpy_random(self):
+        # numpy 1.x imports numpy.random with numpy itself, so compare before and after the run
+        code = ("import sys, numpy\n"
+                "before = 'numpy.random' in sys.modules\n"
+                "from vtqg.harness import ExperimentConfig, run_experiment\n"
+                "from vtqg.tfim import TfimParams\n"
+                "run_experiment(ExperimentConfig(params=TfimParams(4, 0.786, 0.787, 0.5, 1), mode='sampling',\n"
+                "                                shots=8, repetitions=1))\n"
+                "print(before, 'numpy.random' in sys.modules)\n")
+        src = str(Path(vtqg.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        before, after = done.stdout.split()
+        assert after == before
+
+
+def ring(n, steps=1):
+    return TfimParams(n_qubits=n, h=0.786, J=0.787, dt=0.5, n_steps=steps)
+
+
+# sha256 of the --stable-timing CSV of each sampling config, recorded when
+# every fragment still had a sampler pass of its own: child seeds, fragment
+# order and every shot must stay as they were.
+PINNED_CSVS = {
+    "grouped_per_fragment_n6": (
+        dict(params=ring(6), mode="sampling", shots=64, repetitions=2, seed=11),
+        "ca8284c7a7e08427e240d25800aac17256ec65a8a2ea6d61f345ee0628196e9a"),
+    "enumerated_proportional_readout": (
+        dict(params=ring(4), mode="sampling", shots=3000, repetitions=2, seed=5, sampling_strategy="enumerated",
+             shot_allocation="proportional", noise=NoiseModel(readout_flip=0.05, reset_error=0.01)),
+        "07394892d01ccadf48229bbf8aa5e7857ce1ba34f3d2d39c6ca89fc4cc8048d1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CSVS))
+def test_sampling_csv_matches_the_recorded_digest(name, tmp_path):
+    fields, digest = PINNED_CSVS[name]
+    path = tmp_path / "out.csv"
+    emit_results(run_experiment(ExperimentConfig(**fields)), "csv", path, stable_timing=True)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

@@ -429,6 +429,17 @@ class TestFragmentPrograms:
         g = gamma(build.cuts[0].theta)
         assert total == pytest.approx(g * g, abs=1e-10)
 
+    @pytest.mark.parametrize("builder", [build_grouped_fragments, build_enumerated_fragments])
+    def test_insertions_name_the_gates_each_fragment_adds(self, builder):
+        build = build_trotter_circuit(TfimParams(4, 0.786, 0.787, 0.5, 2), "vtqg")
+        for frag in builder(build.circuit, build.cuts):
+            assert [p for p, _ in frag.insertions] == [c.position for c in build.cuts]
+            gates = list(frag.circuit.gates)
+            for position, count in frag.insertions:  # with the earlier ones removed, it starts at position
+                del gates[position:position + count]
+            assert tuple(gates) == build.circuit.gates
+            assert len(frag.circuit.gates) == len(build.circuit.gates) + sum(c for _, c in frag.insertions)
+
     def test_cut_validation(self):
         c = Circuit(2, 0, (rx(0.1, 0),))
         with pytest.raises(ValueError):

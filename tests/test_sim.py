@@ -29,6 +29,7 @@ from vtqg.sim import (
     _Branch,
     _evolve_branches,
     DensityMatrix,
+    FragmentRun,
     PauliObservable,
     Shots,
     StateVector,
@@ -39,6 +40,7 @@ from vtqg.sim import (
     run_density,
     run_statevector,
     sample_bases,
+    sample_fragments,
     sample_shots,
     write_shots_csv,
 )
@@ -591,3 +593,126 @@ class TestSampleBases:
             sample_bases(c, 0, [1], ["XX"])
         with pytest.raises(ResourceLimitError):
             sample_bases(Circuit(17), 1, [0], ["Z" * 17])
+
+
+def trotter_fragments(strategy, steps):
+    """The fragments of the n = 4 vtqg ring: one cut per Trotter step."""
+    from vtqg.qpd import build_enumerated_fragments, build_grouped_fragments
+    from vtqg.tfim import TfimParams, build_trotter_circuit
+
+    build = build_trotter_circuit(TfimParams(n_qubits=4, h=0.786, J=0.787, dt=0.5, n_steps=steps), "vtqg")
+    assert len(build.cuts) == steps
+    builder = build_grouped_fragments if strategy == "grouped" else build_enumerated_fragments
+    return builder(build.circuit, build.cuts)
+
+
+def feedback_fragments():
+    """Enumerated fragments of two cuts on a circuit whose shared gates measure, reset and read
+    the bits the cuts' measurements write."""
+    from vtqg.qpd import CutSite, build_enumerated_fragments
+
+    circuit = feedback_circuit(4)
+    return build_enumerated_fragments(circuit, [CutSite(3, 0, 2, 0.8), CutSite(9, 1, 3, -0.5)])
+
+
+def fragment_runs(fragments, shots):
+    """One run per fragment, shots[k] shots in each of three bases, with seeds of its own."""
+    n = fragments[0].circuit.n_qubits
+    bases = ["X" * n, "Y" * n, ("XZY" * n)[:n]]
+    return [FragmentRun(f.circuit, shots[k], [40 + 3 * k + j for j in range(3)], bases, f.insertions)
+            for k, f in enumerate(fragments)]
+
+
+def assert_matches_one_call_per_fragment(runs, noise):
+    out = list(sample_fragments(runs, noise))
+    assert len(out) == len(runs)
+    for run, per_basis in zip(runs, out):
+        expected = sample_bases(run.circuit, run.n_shots, run.seeds, run.bases, noise)
+        assert len(per_basis) == len(expected)
+        for got, want in zip(per_basis, expected):
+            assert same_shots(got, want), run.insertions
+    return out
+
+
+MERGE_NOISE = [None, NoiseModel(), NoiseModel(p2=0.3, reset_error=0.05, readout_flip=0.1)]
+
+
+class TestSampleFragments:
+    @pytest.mark.parametrize("noise", MERGE_NOISE, ids=["noiseless", "default", "heavy"])
+    @pytest.mark.parametrize("strategy, steps", [("grouped", 1), ("grouped", 2), ("enumerated", 1),
+                                                 ("enumerated", 2)])
+    def test_equals_one_sample_bases_call_per_fragment(self, strategy, steps, noise):
+        fragments = trotter_fragments(strategy, steps)
+        runs = fragment_runs(fragments, [1 + (7 * k) % 19 for k in range(len(fragments))])  # unequal counts
+        out = assert_matches_one_call_per_fragment(runs, noise)
+        if strategy == "enumerated":  # keep rules see both outcomes of a cut's plain measurement
+            clbits = np.concatenate([o.clbits[:, 0] for per_basis, f in zip(out, fragments)
+                                     if f.keep_rules for o in per_basis])
+            assert len(np.unique(clbits)) == 2
+
+    @pytest.mark.parametrize("noise", MERGE_NOISE, ids=["noiseless", "default", "heavy"])
+    def test_shared_measurements_resets_and_feedback_after_the_cuts(self, noise):
+        fragments = feedback_fragments()
+        assert len(fragments) == 100
+        runs = fragment_runs(fragments, [6] * len(fragments))
+        assert all(len(run.insertions) == 2 for run in runs)
+        assert_matches_one_call_per_fragment(runs, noise)
+
+    def test_blocks_straddling_fragments(self, monkeypatch):
+        fragments, noise = trotter_fragments("grouped", 2), MERGE_NOISE[2]
+        runs = fragment_runs(fragments, [3 + (5 * k) % 11 for k in range(len(fragments))])
+        whole = list(sample_fragments(runs, noise))
+        monkeypatch.setattr(sim, "_BLOCK_AMPLITUDES", 1 << 10)  # 32-shot blocks at n = 4
+        assert any((3 * sum(r.n_shots for r in runs[:k])) % 32 for k in range(1, len(runs)))
+        for per_basis, expected in zip(assert_matches_one_call_per_fragment(runs, noise), whole):
+            assert all(same_shots(a, b) for a, b in zip(per_basis, expected))
+
+    def test_shared_gates_run_once_for_every_fragment(self, monkeypatch):
+        log = column_log(monkeypatch)
+        fragments = trotter_fragments("grouped", 1)
+        list(sample_fragments(fragment_runs(fragments, [50] * len(fragments))))
+        inserted = {f.circuit.gates[f.insertions[0][0]:f.insertions[0][0] + f.insertions[0][1]] for f in fragments}
+        shared = len(fragments[0].circuit.gates) - fragments[0].insertions[0][1]
+        unitary = sum(g.kind.value != "MEASURE_Z" for piece in inserted for g in piece)
+        assert len(inserted) == 6 and len(log) == shared + unitary
+        assert max(c for _, c in log) >= 6  # after the cut, one kernel call holds every fragment's columns
+
+    def test_block_never_holds_more_columns_than_shots(self, monkeypatch):
+        log = column_log(monkeypatch)
+        monkeypatch.setattr(sim, "_BLOCK_AMPLITUDES", 1 << 10)  # 32-shot blocks at n = 4
+        fragments = trotter_fragments("enumerated", 2)
+        list(sample_fragments(fragment_runs(fragments, [5] * len(fragments)),
+                              NoiseModel(p1=0.3, p2=0.3, reset_error=0.3)))
+        columns = [c for _, c in log]
+        assert max(columns) <= 32
+        assert max(columns) > 16
+
+    def test_runs_are_handed_out_as_they_finish(self, monkeypatch):
+        monkeypatch.setattr(sim, "_BLOCK_AMPLITUDES", 1 << 10)  # 32-shot blocks at n = 4
+        blocks = []
+        real = sim._sample_block
+        monkeypatch.setattr(sim, "_sample_block", lambda *args: blocks.append(1) or real(*args))
+        fragments = trotter_fragments("grouped", 1)
+        handed = sample_fragments(fragment_runs(fragments, [8] * len(fragments)))  # 24 entries a run
+        next(handed)
+        assert len(blocks) == 1  # entries 0..23 are done after the first block
+        next(handed)
+        assert len(blocks) == 2  # entries 24..47 after the second
+
+    def test_validation(self):
+        fragments = trotter_fragments("grouped", 1)
+        runs = fragment_runs(fragments, [4] * len(fragments))
+        with pytest.raises(ValueError, match="at least one fragment"):
+            list(sample_fragments([]))
+        moved = runs[1]._replace(insertions=((runs[1].insertions[0][0] + 1, runs[1].insertions[0][1]),))
+        with pytest.raises(ValueError, match="same insertion positions"):
+            list(sample_fragments([runs[0], moved]))
+        other = runs[1]._replace(circuit=Circuit(4, 1, runs[1].circuit.gates[:-1] + (rx(0.1, 0),)))
+        with pytest.raises(ValueError, match="differ outside their insertions"):
+            list(sample_fragments([runs[0], other]))
+        with pytest.raises(ValueError, match="does not fit"):
+            list(sample_fragments([runs[1]._replace(insertions=((4, 99),))]))
+        with pytest.raises(ValueError, match="same qubits"):
+            list(sample_fragments([runs[0], FragmentRun(Circuit(5), 4, [1], ["ZZZZZ"])]))
+        with pytest.raises(ValueError, match="one seed per basis"):
+            list(sample_fragments([runs[0]._replace(seeds=[1])]))
