@@ -45,7 +45,6 @@ from .qpd import (
     gamma,
     group_for_sampling,
     reconstruct_channel,
-    reconstruct_expectation,
     run_enumerated_exact,
     simplify_projected,
 )

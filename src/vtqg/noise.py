@@ -82,11 +82,10 @@ def depolarize(state: DensityMatrix, qubits: tuple[int, ...] | list[int], p: flo
     if isinstance(p, bool) or not (isinstance(p, numbers.Real) and math.isfinite(p) and 0.0 <= p <= 1.0):
         raise ValueError(f"depolarizing strength must be in [0, 1], got {p}")
     qubits = tuple(qubits)
+    n = state.n_qubits
+    if any(isinstance(q, bool) or not isinstance(q, numbers.Integral) or not 0 <= q < n for q in qubits):
+        raise ValueError(f"qubits must be integers in [0, {n}), got {qubits}")
     if not 1 <= len(qubits) <= 2 or len(set(qubits)) != len(qubits):
         raise ValueError(f"depolarize acts on one or two distinct qubits, got {qubits}")
-    n = state.n_qubits
-    if any(not 0 <= q < n for q in qubits):
-        raise ValueError(f"qubit out of range in {qubits}")
     t = depolarize_tensor(state.tensor(), qubits, float(p), n)
-    d = 2**n
-    return DensityMatrix(n, t.reshape(d, d))
+    return DensityMatrix(n, t.reshape(state.mat.shape))

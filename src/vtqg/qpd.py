@@ -41,8 +41,8 @@ import numpy as np
 
 from .circuit import Circuit, Gate, GateKind, circuit_to_text, measure_z, reset, rz, x
 from .errors import PreconditionError, ResourceLimitError
-from .noise import depolarize
-from .sim import DENSITY_QUBIT_CAP, DensityMatrix, PauliObservable, apply_gates_density, expectations, run_density
+from .sim import (DENSITY_QUBIT_CAP, DensityMatrix, PauliObservable, _apply_superop, _depolarizing, apply_gates_density,
+                  expectations, run_density)
 
 FAMILY_II = "II"
 FAMILY_ZZ = "ZZ"
@@ -131,29 +131,27 @@ def decompose_vrzz(theta: float) -> list[QpdTerm]:
     return terms
 
 
-def _apply_cut(rho: DensityMatrix, qubit_a: int, qubit_b: int, weighted_terms) -> DensityMatrix:
-    """rho -> sum_k w_k A_k rho A_k^dag over (w_k, term_k) pairs, on qubits (a, b).
+def _cut_superop(weighted_terms) -> np.ndarray:
+    """The 16 x 16 superoperator of rho -> sum_k w_k A_k rho A_k^dag over (w_k, term_k) pairs.
 
     Each A_k = diag(d_a) (x) diag(d_b) is Z-diagonal, so the sum scales entry
-    rho[(i_a, i_b), (j_a, j_b)] by one factor, sum_k w_k d_k[i_a, i_b] conj(d_k[j_a, j_b]).
+    rho[(i_a, i_b), (j_a, j_b)] by one factor, sum_k w_k d_k[i_a, i_b] conj(d_k[j_a, j_b]):
+    the superoperator is the diagonal of those 16 factors.
     """
-    factor = np.zeros((2, 2, 2, 2), dtype=complex)  # axes (i_a, i_b, j_a, j_b)
+    factor = np.zeros(16, dtype=complex)  # index (i_a, i_b, j_a, j_b)
     for weight, term in weighted_terms:
         (side_a, alpha_a), (side_b, alpha_b) = term.sides()
-        d = np.outer(_SIDES[side_a].diagonal(alpha_a), _SIDES[side_b].diagonal(alpha_b))
-        factor += weight * d[:, :, None, None] * d.conj()[None, None, :, :]
-    n = rho.n_qubits
-    axes = (qubit_a, qubit_b, n + qubit_a, n + qubit_b)
-    shape = [2 if ax in axes else 1 for ax in range(2 * n)]
-    t = rho.tensor() * factor.transpose(np.argsort(axes)).reshape(shape)
-    return DensityMatrix(n, t.reshape(rho.mat.shape))
+        d = np.outer(_SIDES[side_a].diagonal(alpha_a), _SIDES[side_b].diagonal(alpha_b)).reshape(-1)
+        factor += np.outer(weight * d, d.conj()).reshape(-1)
+    return np.diag(factor)
 
 
 def reconstruct_channel(terms: list[QpdTerm], rho: DensityMatrix) -> DensityMatrix:
     """Weighted sum of all terms applied to a two-qubit state."""
     if rho.n_qubits != 2:
         raise ValueError(f"reconstruction is defined on 2-qubit states, got {rho.n_qubits}")
-    return _apply_cut(rho, 0, 1, [(t.coefficient, t) for t in terms])
+    superop = _cut_superop([(t.coefficient, t) for t in terms])
+    return DensityMatrix(2, _apply_superop(rho.tensor(), superop, (0, 1), 2).reshape(4, 4))
 
 
 def gamma(theta: float, *, self_check: bool = False) -> float:
@@ -253,13 +251,6 @@ def group_for_sampling(terms: list[QpdTerm]) -> list[CutOption]:
     return [CutOption(t, signed=True) for t in sorted(kept, key=lambda t: families.index(t.family))]
 
 
-def reconstruct_expectation(per_term_values: list[tuple[float, float]]) -> float:
-    """Sum coefficient * raw value over fragments; no normalization."""
-    if not per_term_values:
-        raise ValueError("nothing to reconstruct")
-    return float(sum(c * v for c, v in per_term_values))
-
-
 # --- projected-fragment simplification ---------------------------------------
 
 
@@ -351,8 +342,9 @@ class _CutOp(NamedTuple):
     qubits: tuple[int, int]
     weighted_terms: tuple
 
-    def __call__(self, rho: DensityMatrix) -> DensityMatrix:
-        return _apply_cut(rho, *self.qubits, self.weighted_terms)
+    @property
+    def superop(self) -> np.ndarray:
+        return _cut_superop(self.weighted_terms)
 
 
 class _NoiseOp(NamedTuple):
@@ -361,8 +353,9 @@ class _NoiseOp(NamedTuple):
     qubits: tuple[int, ...]
     p: float
 
-    def __call__(self, rho: DensityMatrix) -> DensityMatrix:
-        return depolarize(rho, self.qubits, self.p)
+    @property
+    def superop(self) -> np.ndarray:
+        return _depolarizing(len(self.qubits), self.p)
 
 
 def _program(circuit: Circuit, cuts: list[CutSite], weighted_terms) -> list:
@@ -374,7 +367,7 @@ def _program(circuit: Circuit, cuts: list[CutSite], weighted_terms) -> list:
 
 
 def _run_program(n_qubits: int, program: list, noise) -> DensityMatrix:
-    """Evolve |0...0>: each run of gates is one density-engine call; any other op maps the state itself."""
+    """Evolve |0...0>: each run of gates is one density-engine call; any other op is its superoperator."""
     if n_qubits > DENSITY_QUBIT_CAP:
         raise ResourceLimitError(f"{n_qubits} qubits exceeds density cap {DENSITY_QUBIT_CAP}")
     rho = DensityMatrix.zero(n_qubits)
@@ -382,8 +375,10 @@ def _run_program(n_qubits: int, program: list, noise) -> DensityMatrix:
         if is_gate:
             rho = apply_gates_density(rho, list(ops), noise)
         else:
+            t = rho.tensor()
             for op in ops:
-                rho = op(rho)
+                t = _apply_superop(t, op.superop, op.qubits, n_qubits)
+            rho = DensityMatrix(n_qubits, t.reshape(rho.mat.shape))
     return rho
 
 

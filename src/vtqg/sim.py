@@ -9,6 +9,13 @@ Density matrices are carried with their raw trace and nothing here ever
 renormalizes.  Expectation values are likewise raw traces, which keeps the
 whole pipeline linear in the state.
 
+Every density operation is one 4^k x 4^k superoperator on the (row, column)
+axis pairs of its k qubits, applied by one kernel, `_apply_superop`: a noisy
+gate is D_p (U (x) U*), D_p its depolarizing map; a measurement outcome is
+its projector map, then D_p; a reset is rho -> |0><0| Tr rho, then D_p; a
+classically controlled gate is its inner gate's map, on the branches whose
+bit reads 1.  `qpd` applies cuts and gate-less noise through the same kernel.
+
 Shot sampling advances a block of shots together.  The block is one state
 tensor with one column per distinct history as its trailing axis,
 [2]*n + [columns], plus a map from each shot to its column, so the row
@@ -43,6 +50,7 @@ shot-by-shot sampler would give.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 import numbers
@@ -165,47 +173,6 @@ def _apply_unitary_rows(tensor: np.ndarray, g: Gate) -> np.ndarray:
     return _apply_2q(tensor, mat, g.qubits[0], g.qubits[1])
 
 
-def _apply_unitary_density(rho_t: np.ndarray, g: Gate, n: int) -> np.ndarray:
-    diag = _gate_diagonal(g)
-    if diag is not None:
-        if len(g.qubits) == 1:
-            q = g.qubits[0]
-            return _mul_diag(_mul_diag(rho_t, diag, q), diag.conj(), n + q)
-        a, b = g.qubits
-        return _mul_diag2(_mul_diag2(rho_t, diag, a, b), diag.conj(), n + a, n + b)
-    mat = gate_matrix(g)
-    if len(g.qubits) == 1:
-        q = g.qubits[0]
-        rho_t = _apply_1q(rho_t, mat, q)
-        return _apply_1q(rho_t, mat.conj(), n + q)
-    a, b = g.qubits
-    rho_t = _apply_2q(rho_t, mat, a, b)
-    return _apply_2q(rho_t, mat.conj(), n + a, n + b)
-
-
-def _project_density(rho_t: np.ndarray, q: int, outcome: int, n: int) -> np.ndarray:
-    """P rho P for the Z-basis projector onto `outcome`, unnormalized."""
-    out = rho_t.copy()
-    idx = [slice(None)] * (2 * n)
-    idx[q] = 1 - outcome
-    out[tuple(idx)] = 0.0
-    idx = [slice(None)] * (2 * n)
-    idx[n + q] = 1 - outcome
-    out[tuple(idx)] = 0.0
-    return out
-
-
-def _reset_density(rho_t: np.ndarray, q: int, n: int) -> np.ndarray:
-    """Trace out qubit q and replace it with |0><0|."""
-    traced = np.trace(rho_t, axis1=q, axis2=n + q)
-    out = np.zeros_like(rho_t)
-    idx = [slice(None)] * (2 * n)
-    idx[q] = 0
-    idx[n + q] = 0
-    out[tuple(idx)] = traced
-    return out
-
-
 def _partial_trace(rho_t: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
     remaining = list(range(n))
     out = rho_t
@@ -216,20 +183,52 @@ def _partial_trace(rho_t: np.ndarray, qubits: tuple[int, ...], n: int) -> np.nda
     return out
 
 
+# --- density kernel ---------------------------------------------------------
+
+_PROJECT = (np.diag([1.0, 0.0, 0.0, 0.0]), np.diag([0.0, 0.0, 0.0, 1.0]))  # rho -> P_o rho P_o
+_RESET = np.array([[1.0, 0.0, 0.0, 1.0], [0.0] * 4, [0.0] * 4, [0.0] * 4])  # rho -> |0><0| Tr rho
+
+
+def _apply_superop(rho_t: np.ndarray, superop: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
+    """rho' = S rho on the (row, column) axis pairs of `qubits`: the density engine's one kernel.
+
+    S is 4^k x 4^k, indexed by the qubits' row bits, then their column bits,
+    in the order `qubits` lists them.  Those axes move to the front, the
+    state takes one matmul with S, and the axes move back.  Returns a new array.
+    """
+    axes = [*qubits, *(n + q for q in qubits)]
+    front = np.moveaxis(rho_t, axes, range(len(axes)))
+    out = superop @ front.reshape(len(superop), -1)
+    return np.moveaxis(out.reshape(front.shape), range(len(axes)), axes)
+
+
+@functools.lru_cache(maxsize=256)
+def _depolarizing(k: int, p: float) -> np.ndarray:
+    """D_p on k qubits: rho -> (1-p) rho + p (I/2^k (x) Tr_qubits rho)."""
+    vec_i = np.eye(2**k).reshape(-1)
+    return (1.0 - p) * np.eye(4**k) + (p / 2**k) * np.outer(vec_i, vec_i)
+
+
+@functools.lru_cache(maxsize=4096)
+def _superop(g: Gate, p: float, outcome: int = 0) -> np.ndarray:
+    """D_p times g's map: a measurement's projector onto `outcome`, the reset map, or U (x) U*.
+
+    A classically controlled gate's map is its inner gate's.  The result is
+    cached and shared, so no caller may write to it.
+    """
+    if g.kind == GateKind.MEASURE_Z:
+        s = _PROJECT[outcome]
+    elif g.kind == GateKind.RESET:
+        s = _RESET
+    else:
+        u = gate_matrix(g.inner if g.kind == GateKind.CLASSICALLY_CONTROLLED else g)
+        s = np.kron(u, u.conj())
+    return _depolarizing(len(g.qubits), p) @ s if p else s
+
+
 def depolarize_tensor(rho_t: np.ndarray, qubits: tuple[int, ...], p: float, n: int) -> np.ndarray:
     """(1-p) rho + p (I/2^k (x) Tr_qubits rho) on the participating qubits."""
-    if p == 0.0:
-        return rho_t
-    k = len(qubits)
-    share = p * (_partial_trace(rho_t, qubits, n) / 2**k)
-    out = (1.0 - p) * rho_t  # a new array: the caller's state may be a view
-    for bits in itertools.product((0, 1), repeat=k):
-        idx = [slice(None)] * (2 * n)
-        for q, b in zip(qubits, bits):
-            idx[q] = b
-            idx[n + q] = b
-        out[tuple(idx)] += share
-    return out
+    return _apply_superop(rho_t, _depolarizing(len(qubits), p), qubits, n)
 
 
 # --- states ---------------------------------------------------------------
@@ -297,7 +296,8 @@ class PauliObservable:
 
     @classmethod
     def single(cls, n: int, qubit: int, pauli: str, weight: float = 1.0) -> "PauliObservable":
-        if pauli not in ("X", "Y", "Z") or not 0 <= qubit < n:
+        integer = isinstance(qubit, numbers.Integral) and not isinstance(qubit, bool)
+        if pauli not in ("X", "Y", "Z") or not integer or not 0 <= qubit < n:
             raise ValueError(f"need one of X, Y, Z on a qubit in [0, {n}), got {pauli!r} on {qubit!r}")
         s = "".join(pauli if q == qubit else "I" for q in range(n))
         return cls(((s, weight),))
@@ -319,21 +319,6 @@ def run_statevector(circuit: Circuit, max_qubits: int = STATEVECTOR_QUBIT_CAP) -
     return StateVector(circuit.n_qubits, t.reshape(-1))
 
 
-def circuit_unitary(circuit: Circuit, max_qubits: int = 12) -> np.ndarray:
-    """Dense unitary of a measurement-free circuit."""
-    n = circuit.n_qubits
-    if n > max_qubits:
-        raise ResourceLimitError(f"{n} qubits exceeds unitary cap {max_qubits}")
-    for g in circuit.gates:
-        if not g.is_unitary:
-            raise StatevectorModeError(f"{g.kind.value} has no circuit unitary")
-    dim = 2**n
-    t = np.eye(dim, dtype=complex).reshape([2] * n + [dim])  # trailing axis = input basis state
-    for g in circuit.gates:
-        t = _apply_unitary_rows(t, g)
-    return t.reshape(dim, dim)
-
-
 # --- density-matrix execution ------------------------------------------------
 
 
@@ -346,42 +331,23 @@ class _Branch:
         self.sign = sign
 
 
-def _gate_strength(noise, g: Gate) -> float:
-    return 0.0 if noise is None else noise.strength_for(g)
-
-
 def _evolve_branches(branches: list[_Branch], gates, noise, n: int) -> list[_Branch]:
     for g in gates:
-        p = _gate_strength(noise, g)
+        p = 0.0 if noise is None else noise.strength_for(g)
         if g.kind == GateKind.MEASURE_Z:
-            q = g.qubits[0]
             split: list[_Branch] = []
             for br in branches:
                 for outcome in (0, 1):
-                    rho = _project_density(br.rho, q, outcome, n)
-                    if p:
-                        rho = depolarize_tensor(rho, g.qubits, p, n)
                     clbits = list(br.clbits)
                     clbits[g.clbit] = outcome
                     sign = br.sign * (-1 if (g.signed and outcome == 1) else 1)
+                    rho = _apply_superop(br.rho, _superop(g, p, outcome), g.qubits, n)
                     split.append(_Branch(rho, clbits, sign))
             branches = split
-        elif g.kind == GateKind.RESET:
-            for br in branches:
-                br.rho = _reset_density(br.rho, g.qubits[0], n)
-                if p:
-                    br.rho = depolarize_tensor(br.rho, g.qubits, p, n)
-        elif g.kind == GateKind.CLASSICALLY_CONTROLLED:
-            for br in branches:
-                if br.clbits[g.clbit] == 1:
-                    br.rho = _apply_unitary_density(br.rho, g.inner, n)
-                    if p:
-                        br.rho = depolarize_tensor(br.rho, g.qubits, p, n)
-        else:
-            for br in branches:
-                br.rho = _apply_unitary_density(br.rho, g, n)
-                if p:
-                    br.rho = depolarize_tensor(br.rho, g.qubits, p, n)
+            continue
+        for br in branches:
+            if g.kind != GateKind.CLASSICALLY_CONTROLLED or br.clbits[g.clbit] == 1:
+                br.rho = _apply_superop(br.rho, _superop(g, p), g.qubits, n)
     return branches
 
 
@@ -396,13 +362,10 @@ def apply_gates_density(state: DensityMatrix, gates, noise=None) -> DensityMatri
     n = state.n_qubits
     gates = list(gates)
     n_clbits = 1 + max((g.clbit for g in gates if g.clbit is not None), default=-1)
-    branches = [_Branch(state.tensor().copy(), [0] * n_clbits, 1)]
+    branches = [_Branch(state.tensor(), [0] * n_clbits, 1)]  # no kernel writes to its input
     branches = _evolve_branches(branches, gates, noise, n)
-    total = branches[0].sign * branches[0].rho
-    for br in branches[1:]:
-        total = total + br.sign * br.rho
-    d = 2**n
-    return DensityMatrix(n, total.reshape(d, d))
+    total = sum(br.sign * br.rho for br in branches)
+    return DensityMatrix(n, total.reshape(state.mat.shape))
 
 
 def run_density(circuit: Circuit, noise=None, *, initial: DensityMatrix | None = None,

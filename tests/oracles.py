@@ -5,6 +5,8 @@ deliberately sharing no code with the package's tensor kernels, so the two
 paths can check each other.
 """
 
+import itertools
+
 import numpy as np
 from scipy.linalg import expm
 
@@ -81,18 +83,73 @@ _FIXED = {"X": X, "SX": SX, "H": H, "CNOT": CNOT, "SWAP": SWAP}
 _PARAM = {"RX": rx_unitary, "RZ": rz_unitary, "RZZ": rzz_unitary, "RZX": rzx_unitary}
 
 
+def gate_unitary(g, n):
+    """A package Gate's unitary on n qubits, by plain kron embedding."""
+    kind = g.kind.value
+    mat = _FIXED[kind] if kind in _FIXED else _PARAM[kind](g.angle)
+    if len(g.qubits) == 1:
+        return kron_at(mat, g.qubits[0], n)
+    return kron_two(mat, g.qubits[0], g.qubits[1], n)
+
+
 def dense_unitary(circuit):
     """Full unitary of a package Circuit, built by plain kron embedding."""
     n = circuit.n_qubits
     u = np.eye(2**n, dtype=complex)
     for g in circuit.gates:
-        kind = g.kind.value
-        mat = _FIXED[kind] if kind in _FIXED else _PARAM[kind](g.angle)
-        if len(g.qubits) == 1:
-            u = kron_at(mat, g.qubits[0], n) @ u
-        else:
-            u = kron_two(mat, g.qubits[0], g.qubits[1], n) @ u
+        u = gate_unitary(g, n) @ u
     return u
+
+
+def pauli_twirl(rho, qubits, p, n):
+    """(1-p) rho + p times the uniform average of P rho P^dag over Pauli strings P on `qubits`."""
+    out = np.zeros_like(rho)
+    for letters in itertools.product((I2, X, Y, Z), repeat=len(qubits)):
+        op = np.eye(2**n, dtype=complex)
+        for q, mat in zip(qubits, letters):
+            op = op @ kron_at(mat, q, n)
+        out += op @ rho @ op.conj().T
+    return (1 - p) * rho + p * out / 4 ** len(qubits)
+
+
+_KET_BRA = [[np.outer(I2[i], I2[j]) for j in (0, 1)] for i in (0, 1)]  # |i><j|
+
+
+def noisy_density(circuit, strength):
+    """Density matrix of a package Circuit from |0...0>, each gate followed by its depolarizing twirl.
+
+    `strength(gate)` gives the twirl's p.  A measurement splits every branch
+    (rho, clbits, sign) into its two projector branches, outcome 1 of a
+    signed one with its sign flipped; a reset is the channel with Kraus
+    operators |0><0| and |0><1|; a classically controlled gate, and its
+    noise, act only on branches whose bit reads 1.  Returns the signed sum
+    of the branches.
+    """
+    n = circuit.n_qubits
+    rho = np.zeros((2**n, 2**n), dtype=complex)
+    rho[0, 0] = 1.0
+    branches = [(rho, [0] * circuit.n_clbits, 1)]
+    for g in circuit.gates:
+        kind, p = g.kind.value, strength(g)
+        out = []
+        for rho, bits, sign in branches:
+            if kind == "MEASURE_Z":
+                for outcome in (0, 1):
+                    proj = kron_at(_KET_BRA[outcome][outcome], g.qubits[0], n)
+                    flipped = list(bits)
+                    flipped[g.clbit] = outcome
+                    signed = -sign if g.signed and outcome else sign
+                    out.append((pauli_twirl(proj @ rho @ proj, g.qubits, p, n), flipped, signed))
+                continue
+            if kind == "RESET":
+                kraus = [kron_at(_KET_BRA[0][j], g.qubits[0], n) for j in (0, 1)]
+                rho = pauli_twirl(sum(k @ rho @ k.conj().T for k in kraus), g.qubits, p, n)
+            elif kind != "CLASSICALLY_CONTROLLED" or bits[g.clbit] == 1:
+                u = gate_unitary(g.inner if kind == "CLASSICALLY_CONTROLLED" else g, n)
+                rho = pauli_twirl(u @ rho @ u.conj().T, g.qubits, p, n)
+            out.append((rho, bits, sign))
+        branches = out
+    return sum(sign * rho for rho, _, sign in branches)
 
 
 def layout_permutation(layout, n):

@@ -30,7 +30,6 @@ from vtqg.circuit import (
     x,
 )
 from vtqg.errors import InvalidCircuitError, UnsupportedTopologyError
-from vtqg.sim import circuit_unitary
 
 import oracles
 
@@ -97,11 +96,11 @@ class TestCircuitValidation:
 
 class TestRzzDecompositions:
     def test_cnot_form_zero_angle_is_identity(self):
-        u = circuit_unitary(Circuit(2, 0, tuple(decompose_rzz_cnot(0.0))))
+        u = oracles.dense_unitary(Circuit(2, 0, tuple(decompose_rzz_cnot(0.0))))
         assert oracles.phase_overlap(u, np.eye(4)) == pytest.approx(1.0, abs=1e-12)
 
     def test_cnot_form_pi_gives_parity_phase(self):
-        u = circuit_unitary(Circuit(2, 0, tuple(decompose_rzz_cnot(math.pi))))
+        u = oracles.dense_unitary(Circuit(2, 0, tuple(decompose_rzz_cnot(math.pi))))
         # even-parity states pick up the opposite sign from odd-parity ones
         diag = np.diag(u)
         assert np.allclose(np.abs(diag), 1.0, atol=1e-12)
@@ -110,17 +109,17 @@ class TestRzzDecompositions:
 
     def test_cnot_form_against_matrix_exponential(self):
         theta = 0.787
-        u = circuit_unitary(Circuit(2, 0, tuple(decompose_rzz_cnot(theta))))
+        u = oracles.dense_unitary(Circuit(2, 0, tuple(decompose_rzz_cnot(theta))))
         assert oracles.phase_overlap(u, oracles.rzz_unitary(theta)) == pytest.approx(1.0, abs=1e-12)
 
     def test_rzx_form_zero_angle_is_identity(self):
-        u = circuit_unitary(Circuit(2, 0, tuple(decompose_rzz_rzx(0.0))))
+        u = oracles.dense_unitary(Circuit(2, 0, tuple(decompose_rzz_rzx(0.0))))
         assert oracles.phase_overlap(u, np.eye(4)) == pytest.approx(1.0, abs=1e-12)
 
     def test_rzx_form_matches_cnot_form(self):
         theta = 0.787
-        u1 = circuit_unitary(Circuit(2, 0, tuple(decompose_rzz_cnot(theta))))
-        u2 = circuit_unitary(Circuit(2, 0, tuple(decompose_rzz_rzx(theta))))
+        u1 = oracles.dense_unitary(Circuit(2, 0, tuple(decompose_rzz_cnot(theta))))
+        u2 = oracles.dense_unitary(Circuit(2, 0, tuple(decompose_rzz_rzx(theta))))
         assert oracles.phase_overlap(u1, u2) == pytest.approx(1.0, abs=1e-12)
 
     def test_rzx_form_uses_one_two_qubit_gate(self):
@@ -143,7 +142,7 @@ class TestRzzDecompositions:
         for theta in rng.uniform(-2 * math.pi, 2 * math.pi, size=20):
             target = oracles.rzz_unitary(theta)
             for decompose in (decompose_rzz_cnot, decompose_rzz_rzx):
-                u = circuit_unitary(Circuit(2, 0, tuple(decompose(theta))))
+                u = oracles.dense_unitary(Circuit(2, 0, tuple(decompose(theta))))
                 assert oracles.phase_overlap(u, target) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -173,7 +172,7 @@ class TestRouting:
         theta = 0.787
         fragment, layout = route_ring_closure(n, CouplingMap.path(n), theta)
         ideal = Circuit(n, 0, (rzz(theta, 0, n - 1),))
-        u_routed = circuit_unitary(fragment)
+        u_routed = oracles.dense_unitary(fragment)
         u_ideal = oracles.dense_unitary(ideal)
         perm = oracles.layout_permutation(layout, n)
         assert np.linalg.norm(perm.conj().T @ u_routed - u_ideal) < 1e-10

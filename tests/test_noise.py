@@ -122,8 +122,9 @@ class TestDepolarize:
     def test_bad_qubits(self):
         with pytest.raises(ValueError):
             depolarize(DensityMatrix.zero(2), (0, 0), 0.1)
-        with pytest.raises(ValueError):
-            depolarize(DensityMatrix.zero(2), (5,), 0.1)
+        for qubits in ((5,), (True,), (1.0,), (0.5,), (0, False)):
+            with pytest.raises(ValueError):
+                depolarize(DensityMatrix.zero(2), qubits, 0.1)
 
 
 class TestStrengthForGate:

@@ -32,7 +32,6 @@ from vtqg.qpd import (
     group_for_sampling,
     realize_simplified,
     reconstruct_channel,
-    reconstruct_expectation,
     run_enumerated_exact,
     simplify_projected,
     write_fragment_manifest,
@@ -372,16 +371,6 @@ class TestSimplification:
 
 
 class TestReconstructExpectation:
-    def test_single_term(self):
-        assert reconstruct_expectation([(1.0, 0.7)]) == pytest.approx(0.7)
-
-    def test_cancellation(self):
-        assert reconstruct_expectation([(0.5, 1.0), (0.5, -1.0)]) == 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            reconstruct_expectation([])
-
     def test_ten_term_magnetization_components_match_statevector(self):
         params = TfimParams(4, 0.786, 0.787, 0.5, 1)
         build = build_trotter_circuit(params, "vtqg")
@@ -393,8 +382,8 @@ class TestReconstructExpectation:
         for pauli in "XYZ":
             for q in range(n):
                 obs = [PauliObservable.single(n, q, pauli)]
-                pairs = [(t.coefficient, evaluate_term_exact(build.circuit, cut, t, obs)[0]) for t in terms]
-                reconstructed = reconstruct_expectation(pairs)
+                reconstructed = sum(t.coefficient * evaluate_term_exact(build.circuit, cut, t, obs)[0]
+                                    for t in terms)
                 assert reconstructed == pytest.approx(expectation(psi, obs[0]), abs=1e-9)
 
 

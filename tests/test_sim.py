@@ -33,7 +33,6 @@ from vtqg.sim import (
     PauliObservable,
     Shots,
     StateVector,
-    circuit_unitary,
     depolarize_tensor,
     expectation,
     expectations,
@@ -100,12 +99,6 @@ class TestStatevector:
         with pytest.raises(ResourceLimitError):
             run_statevector(Circuit(5), max_qubits=4)
 
-    def test_unitary_matches_dense_oracle(self):
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            c = random_unitary_circuit(3, 8, rng)
-            assert np.linalg.norm(circuit_unitary(c) - oracles.dense_unitary(c)) < 1e-10
-
 
 class TestDensity:
     def test_matches_statevector_on_random_circuits(self):
@@ -161,6 +154,31 @@ class TestDensity:
         assert np.linalg.norm(second.mat - full.mat) < 1e-12
 
 
+class TestNoisyDensityOracle:
+    @pytest.mark.parametrize("pair", list(itertools.permutations(range(3), 2)))
+    def test_random_circuits_match_the_dense_oracle(self, pair):
+        # every gate kind on each ordered pair (descending and non-adjacent ones included), noise
+        # on every gate and instrument, a signed measurement, feedback and a reset, interleaved
+        # with random unitaries
+        rng = np.random.default_rng(sum(q << (4 * i) for i, q in enumerate(pair)))
+        a, b = pair
+        c = 3 - a - b
+
+        def angle():
+            return float(rng.uniform(-math.pi, math.pi))
+
+        skeleton = [h(a), sx(b), x(c), rx(angle(), a), rz(angle(), b), cnot(a, b), swap(a, b),
+                    rzz(angle(), a, b), rzx(angle(), a, b, pet=True), rzx(angle(), b, c),
+                    measure_z(a, 0, signed=True), classically_controlled(rzz(angle(), b, a), 0),
+                    reset(b), rx(angle(), b), measure_z(c, 1), classically_controlled(rx(angle(), a), 1),
+                    classically_controlled(cnot(c, a), 0), rzx(angle(), c, a)]
+        filler = random_unitary_circuit(3, len(skeleton), rng).gates
+        circuit = Circuit(3, 2, tuple(itertools.chain(*zip(filler, skeleton))))
+        noise = NoiseModel(p1=0.02, p2=0.05, reset_error=0.03)
+        expected = oracles.noisy_density(circuit, noise.strength_for)
+        assert np.max(np.abs(run_density(circuit, noise).mat - expected)) < 1e-12
+
+
 class TestExpectation:
     def test_z_on_zero(self):
         assert expectation(StateVector.zero(1), PauliObservable.single(1, 0, "Z")) == pytest.approx(1.0)
@@ -203,7 +221,8 @@ class TestExpectation:
         assert expectation(psi, obs) == pytest.approx(0.5 + 0.25 - 1.0)
 
     def test_single_rejects_bad_qubit_or_letter(self):
-        for qubit, pauli in ((7, "Z"), (4, "Z"), (-1, "Z"), (1, "XY"), (1, "I"), (1, "")):
+        for qubit, pauli in ((7, "Z"), (4, "Z"), (-1, "Z"), (1, "XY"), (1, "I"), (1, ""), (True, "Z"),
+                             (1.0, "Z"), (0.5, "Z")):
             with pytest.raises(ValueError):
                 PauliObservable.single(4, qubit, pauli)
 
