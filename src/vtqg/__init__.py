@@ -58,7 +58,6 @@ from .sim import (
     expectations,
     run_density,
     run_statevector,
-    sample_bases,
     sample_fragments,
     sample_shots,
 )

@@ -244,10 +244,13 @@ class CouplingMap:
         missing = [k for k in ("n", "edges") if k not in obj]
         if missing:
             raise ValueError(f"coupling map is missing fields {missing}")
-        edges = obj["edges"]
-        if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2 for e in edges):
-            raise ValueError(f"coupling map 'edges' must be a list of [a, b] pairs, got {edges!r}")
-        return cls(int(obj["n"]), frozenset((int(a), int(b)) for a, b in edges))
+        n, edges = obj["n"], obj["edges"]
+        if type(n) is not int:  # JSON numbers parse as int or float; a bool is an int subclass
+            raise ValueError(f"coupling map 'n' must be an integer, got {n!r}")
+        if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2 and
+                                                  all(type(q) is int for q in e) for e in edges):
+            raise ValueError(f"coupling map 'edges' must be a list of [a, b] integer pairs, got {edges!r}")
+        return cls(n, frozenset(map(tuple, edges)))
 
 
 @dataclass(frozen=True)
@@ -413,17 +416,15 @@ def gate_from_line(line: str) -> Gate:
     qubits = tuple(int(t) for t in tokens[1].split(","))
     rest = tokens[2:]
     if kind == GateKind.MEASURE_Z:
-        if len(rest) < 2 or rest[0] != "->":
+        if len(rest) < 2 or rest[0] != "->" or rest[2:] not in ([], ["signed"]):
             raise ValueError(f"malformed measurement line: {line!r}")
-        return measure_z(qubits[0], int(rest[1]), signed="signed" in rest[2:])
-    angle = None
-    pet = False
-    for t in rest:
-        if t == "pet":
-            pet = True
-        else:
-            angle = float(t)
-    return Gate(kind, qubits, angle=angle, pet=pet)
+        return measure_z(qubits[0], int(rest[1]), signed=bool(rest[2:]))
+    pet = rest[-1:] == ["pet"]
+    if pet:
+        rest = rest[:-1]
+    if len(rest) > 1:
+        raise ValueError(f"malformed gate line: {line!r}; expected at most one angle, then 'pet'")
+    return Gate(kind, qubits, angle=float(rest[0]) if rest else None, pet=pet)
 
 
 def circuit_to_text(circuit: Circuit) -> str:

@@ -16,7 +16,6 @@ files.
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import numbers
 import time
@@ -126,82 +125,16 @@ class ResultRecord:
     wall_ms: float
 
 
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
+def _stream_seed(seed: int, variant: int, fragment: int, basis: int) -> int:
+    """The sampler seed of one (variant, fragment, basis) stream of repetition seed `seed`.
 
-
-def _words32(value: int) -> list[int]:
-    """The 32-bit words of a non-negative integer, least significant first; [0] for 0."""
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
-
-
-def _hashmix(value: int, hash_const: int) -> tuple[int, int]:
-    """SeedSequence's hashmix: the hashed word and the next hash constant."""
-    value ^= hash_const
-    hash_const = (hash_const * _MULT_A) & _MASK32
-    value = (value * hash_const) & _MASK32
-    return value ^ (value >> 16), hash_const
-
-
-def _mix(x: int, y: int) -> int:
-    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return result ^ (result >> 16)
-
-
-@functools.lru_cache(maxsize=256)
-def _entropy_pool(words: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """SeedSequence's pool and hash constant after mixing in `words`.
-
-    The pool after words past the fourth depends only on the pool before
-    them, so it is cached by prefix: child seeds that share (seed, key
-    prefix) hash only their own last words.
+    The indices fill disjoint bit fields of the low 64-bit word and the seed
+    the words above it, which is injective while the fragment index is below
+    2^32 (the builders cap fragments at 10^4).  The sampler mixes every word
+    into its stream keys, but a zero word hashes to zero, so seed h * 2^64
+    would share the streams of seed h: bit 63 keeps the low word nonzero.
     """
-    if len(words) > _POOL_SIZE:
-        pool, hash_const = _entropy_pool(words[:-1])
-        pool = list(pool)
-        for dst in range(_POOL_SIZE):
-            value, hash_const = _hashmix(words[-1], hash_const)
-            pool[dst] = _mix(pool[dst], value)
-        return tuple(pool), hash_const
-    pool, hash_const = [], _INIT_A
-    for word in words + (0,) * (_POOL_SIZE - len(words)):
-        value, hash_const = _hashmix(word, hash_const)
-        pool.append(value)
-    for src in range(_POOL_SIZE):  # mix every word into every other, so late words reach early ones
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                value, hash_const = _hashmix(pool[src], hash_const)
-                pool[dst] = _mix(pool[dst], value)
-    return tuple(pool), hash_const
-
-
-def _child_seed(seed: int, *key: int) -> int:
-    """`np.random.SeedSequence(seed, spawn_key=key).generate_state(1, np.uint64)[0]`, in pure Python.
-
-    The same hash word for word, so every stream is the one numpy would
-    derive, without importing numpy.random (about 20 ms and 5 MB).
-    """
-    entropy = _words32(seed)
-    spawn = [w for k in key for w in _words32(k)]
-    if spawn:  # run entropy is zero-padded to the pool so it cannot alias a spawn key
-        entropy += [0] * (_POOL_SIZE - len(entropy))
-    pool, _ = _entropy_pool(tuple(entropy + spawn))
-    hash_const, state = _INIT_B, 0
-    for i in range(2):  # generate_state(1, uint64): two 32-bit words, low word first
-        value = pool[i] ^ hash_const
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        value = (value * hash_const) & _MASK32
-        state |= (value ^ (value >> 16)) << (32 * i)
-    return state
+    return (seed << 64) | (1 << 63) | (variant << 48) | (fragment << 16) | basis
 
 
 def _signed_qubit_means(shots, keep_rules) -> np.ndarray:
@@ -235,7 +168,7 @@ def _execute_sampling(build: TrotterBuild, config: ExperimentConfig, seed_rep: i
             shots = max(1, round(config.shots * abs(frag.weight) / total_abs))
         else:
             shots = config.shots
-        seeds = [_child_seed(seed_rep, variant_index, k, j) for j in range(3)]
+        seeds = [_stream_seed(seed_rep, variant_index, k, j) for j in range(3)]
         runs.append(FragmentRun(frag.circuit, shots, seeds, bases, frag.insertions))
     acc = [np.zeros(n) for _ in range(3)]
     for frag, per_basis in zip(fragments, sample_fragments(runs, noise)):
@@ -309,8 +242,10 @@ def read_results(path) -> list[ResultRecord]:
     """Parse a results file previously written by emit_results (either format)."""
     with open(path) as fh:
         text = fh.read()
-    if text.lstrip().startswith("["):
+    if text.lstrip().startswith(("[", "{")):
         rows = json.loads(text)
+        if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
+            raise ValueError(f"{path}: JSON results must be a list of objects")
     else:
         rows = list(csv.DictReader(text.splitlines()))
     records = []

@@ -28,7 +28,7 @@ share columns through the gates all fragments have in common, split at each
 cut by the gates their fragments insert there (each inserted sequence acts
 only on its own columns, the shared gates after the cut on every column at
 once), and split last by basis, just before the basis rotations.
-`sample_bases` and `sample_shots` are its one-fragment cases.  Every random
+`sample_shots` is its one-fragment, one-basis case.  Every random
 number is a counter-based uniform u(seed, shot, draw), output `draw` of a
 SplitMix64 stream whose state starts at a hash of (seed, shot), and each gate
 owns fixed draw slots; in a fragment, the slots of the fragment's own gate
@@ -137,19 +137,6 @@ def _apply_2q(tensor: np.ndarray, mat4: np.ndarray, ax_a: int, ax_b: int) -> np.
     return np.moveaxis(out, [0, 1], [ax_a, ax_b])
 
 
-def _mul_diag(tensor: np.ndarray, diag: np.ndarray, axis: int) -> np.ndarray:
-    shape = [1] * tensor.ndim
-    shape[axis] = 2
-    return tensor * diag.reshape(shape)
-
-
-def _mul_diag2(tensor: np.ndarray, diag2: np.ndarray, ax_a: int, ax_b: int) -> np.ndarray:
-    shape = [1] * tensor.ndim
-    shape[ax_a] = 2
-    shape[ax_b] = 2
-    return tensor * diag2.reshape(shape)
-
-
 def _gate_diagonal(g: Gate) -> np.ndarray | None:
     """Broadcastable phase array for Z-diagonal gates; None for everything else."""
     if g.kind == GateKind.RZ:
@@ -158,19 +145,6 @@ def _gate_diagonal(g: Gate) -> np.ndarray | None:
         p, m = np.exp(-1j * g.angle / 2), np.exp(1j * g.angle / 2)
         return np.array([[p, m], [m, p]])
     return None
-
-
-def _apply_unitary_rows(tensor: np.ndarray, g: Gate) -> np.ndarray:
-    """Apply a unitary gate to the row (qubit) axes of a state tensor."""
-    diag = _gate_diagonal(g)
-    if diag is not None:
-        if len(g.qubits) == 1:
-            return _mul_diag(tensor, diag, g.qubits[0])
-        return _mul_diag2(tensor, diag, g.qubits[0], g.qubits[1])
-    mat = gate_matrix(g)
-    if len(g.qubits) == 1:
-        return _apply_1q(tensor, mat, g.qubits[0])
-    return _apply_2q(tensor, mat, g.qubits[0], g.qubits[1])
 
 
 def _partial_trace(rho_t: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
@@ -313,10 +287,10 @@ def run_statevector(circuit: Circuit, max_qubits: int = STATEVECTOR_QUBIT_CAP) -
     for g in circuit.gates:
         if not g.is_unitary:
             raise StatevectorModeError(f"{g.kind.value} is not supported in statevector mode")
-    t = StateVector.zero(circuit.n_qubits).amps.reshape([2] * circuit.n_qubits)
-    for g in circuit.gates:
-        t = _apply_unitary_rows(t, g)
-    return StateVector(circuit.n_qubits, t.reshape(-1))
+    psi = StateVector.zero(circuit.n_qubits).amps.reshape([2] * circuit.n_qubits + [1])  # one shot column
+    for kernel in _shot_kernels(circuit):
+        psi = kernel(psi)
+    return StateVector(circuit.n_qubits, psi.reshape(-1))
 
 
 # --- density-matrix execution ------------------------------------------------
@@ -639,7 +613,7 @@ def _apply_paulis(psi: np.ndarray, qubits, codes: np.ndarray) -> np.ndarray:
 
 
 class FragmentRun(NamedTuple):
-    """One fragment's shots in a `sample_fragments` pass: `sample_bases` arguments plus insertions.
+    """One fragment's shots in a `sample_fragments` pass, in one (seed, basis) pair per entry of `seeds` and `bases`.
 
     `insertions` lists (position, count) for each cut in circuit order: the
     fragment is a shared circuit with `count` gates inserted before that
@@ -900,7 +874,7 @@ class Shots:
 
 
 def _checked_run(circuit: Circuit, n_shots, seeds, bases, insertions=()) -> FragmentRun:
-    """A run's fields checked as `sample_bases` checks its arguments, as plain Python values."""
+    """A run's fields checked, as plain Python values."""
     if isinstance(n_shots, bool) or not isinstance(n_shots, numbers.Integral):
         raise ValueError(f"n_shots must be an integer, got {n_shots!r}")
     if n_shots < 1:
@@ -924,21 +898,22 @@ def _checked_run(circuit: Circuit, n_shots, seeds, bases, insertions=()) -> Frag
 
 
 def sample_fragments(runs, noise=None):
-    """`sample_bases` for the fragments of one cut circuit, in one pass.
+    """Sample the fragments of one cut circuit, each in one or more (seed, basis) pairs, in one pass.
 
     `runs` holds one `FragmentRun` (or its fields) per fragment: every
     fragment is the same shared circuit with gates inserted at the same
     positions, which its `insertions` name.  Yields one list of `Shots` per
-    run, in run order, as soon as its shots are done, each equal bit for bit
-    to `sample_bases(run.circuit, run.n_shots, run.seeds, run.bases, noise)`.
-    The shots of every (run, seed, basis) triple run as one sequence of
-    blocks.  They share state columns through the shared gates; at each cut
-    the columns split by the gates their runs insert there, each inserted
-    sequence acts only on its own columns, and the shared gates after the
-    cut act on every column at once.  A shot reads its draws from its own
-    fragment's gate slots.  Each step's operator is built once for the pass,
-    and a block's shots are handed out as their runs finish, so memory stays
-    bounded at any number of runs.
+    run, one per pair, in run order, as soon as its shots are done.  Each is
+    equal bit for bit to `sample_shots(run.circuit, run.n_shots, seed, basis,
+    noise)`: no other run or pair in the pass changes a shot.  The shots of
+    every (run, seed, basis) triple run as one sequence of blocks.  They
+    share state columns through the shared gates; at each cut the columns
+    split by the gates their runs insert there, each inserted sequence acts
+    only on its own columns, and the shared gates after the cut act on every
+    column at once.  A shot reads its draws from its own fragment's gate
+    slots.  Each step's operator is built once for the pass, and a block's
+    shots are handed out as their runs finish, so memory stays bounded at
+    any number of runs.
     """
     runs = [_checked_run(*run) for run in runs]
     if not runs:
@@ -975,18 +950,6 @@ def sample_fragments(runs, noise=None):
             first, r = first + count * m, r + 1
 
 
-def sample_bases(circuit: Circuit, n_shots: int, seeds, bases, noise=None) -> list[Shots]:
-    """`sample_shots` for each (seed, basis) pair of `seeds` and `bases`, in one pass.
-
-    Returns one `Shots` per pair, equal bit for bit to
-    `sample_shots(circuit, n_shots, seed, basis, noise)`.  The shots of every
-    pair share state columns until a last split by basis, just before the
-    basis rotations, and each gate's operator is built once for the call.
-    This is the one-fragment case of `sample_fragments`.
-    """
-    return next(sample_fragments([(circuit, n_shots, seeds, bases)], noise))
-
-
 def sample_shots(circuit: Circuit, n_shots: int, seed: int,
                  basis: str | None = None, noise=None) -> Shots:
     """Trajectory sampling with terminal measurement of every qubit.
@@ -997,10 +960,10 @@ def sample_shots(circuit: Circuit, n_shots: int, seed: int,
     given, is unraveled stochastically per trajectory: a depolarizing event
     fires with the gate's strength and applies a uniform Pauli per qubit, and
     each terminal bit flips with probability `readout_flip`.  This is the
-    one-basis case of `sample_bases`.
+    one-fragment, one-basis case of `sample_fragments`.
     """
     basis = "Z" * circuit.n_qubits if basis is None else basis
-    return sample_bases(circuit, n_shots, [seed], [basis], noise)[0]
+    return next(sample_fragments([(circuit, n_shots, [seed], [basis])], noise))[0]
 
 
 def write_shots_csv(shots: Shots, path) -> None:

@@ -270,6 +270,14 @@ class TestTextFormat:
             circuit_from_text("X\n")
         with pytest.raises(ValueError, match="'IF 0'"):
             circuit_from_text("qubits 1 clbits 1\nMEASURE_Z 0 -> 0\nIF 0\n")
+        with pytest.raises(ValueError, match="'RZZ 0,1 0.1 0.2'"):
+            circuit_from_text("RZZ 0,1 0.1 0.2\n")
+        with pytest.raises(ValueError, match="'RZX 0,1 0.1 pet pet'"):
+            circuit_from_text("RZX 0,1 0.1 pet pet\n")
+        with pytest.raises(ValueError, match="'MEASURE_Z 0 -> 0 junk'"):
+            circuit_from_text("MEASURE_Z 0 -> 0 junk\n")
+        with pytest.raises(ValueError, match="'MEASURE_Z 0 -> 0 signed signed'"):
+            circuit_from_text("MEASURE_Z 0 -> 0 signed signed\n")
 
 
 class TestCouplingMapJson:
@@ -295,7 +303,12 @@ class TestCouplingMapJson:
 
     @pytest.mark.parametrize("text,field", [('{"edges": [[0, 1]]}', "'n'"), ('{"n": 2}', "'edges'"),
                                             ('{"n": 2, "edges": [[0]]}', "'edges'"),
-                                            ('[[0, 1]]', "'n' and 'edges'")])
+                                            ('[[0, 1]]', "'n' and 'edges'"),
+                                            ('{"n": 4.7, "edges": []}', "'n'"), ('{"n": "3", "edges": []}', "'n'"),
+                                            ('{"n": true, "edges": []}', "'n'"),
+                                            ('{"n": 2, "edges": [[0, 1.9]]}', "'edges'"),
+                                            ('{"n": 2, "edges": [[true, 1]]}', "'edges'"),
+                                            ('{"n": 2, "edges": [["0", 1]]}', "'edges'")])
     def test_malformed_json_names_the_field(self, text, field):
         with pytest.raises(ValueError, match=field):
             CouplingMap.from_json(text)

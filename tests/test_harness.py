@@ -1,7 +1,7 @@
 import hashlib
 import json
+import math
 import os
-import random
 import subprocess
 import sys
 from pathlib import Path
@@ -23,9 +23,9 @@ from vtqg.harness import (
     run_experiment,
 )
 import vtqg
-from vtqg import qpd
+from vtqg import qpd, sim
 from vtqg.circuit import rzz
-from vtqg.harness import _child_seed
+from vtqg.harness import _stream_seed
 from vtqg.noise import NoiseModel
 from vtqg.sim import DensityMatrix, apply_gates_density
 from vtqg.tfim import TfimParams, build_trotter_circuit, exact_reference, magnetization, pauli_components
@@ -312,6 +312,14 @@ class TestEmitAndRead:
             read_results(path)
         assert "'wall_ms'" in str(err.value) and "'mag'" not in str(err.value)
 
+    @pytest.mark.parametrize("text", ['{"variant": "vtqg"}', '{\n  "records": []\n}', '[1, 2]',
+                                      '[{"variant": "vtqg"}, []]'])
+    def test_json_that_is_not_a_list_of_objects_names_the_path(self, tmp_path, text):
+        path = tmp_path / "odd.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="odd.json"):
+            read_results(path)
+
     def test_bad_format(self, tmp_path):
         with pytest.raises(ValueError):
             emit_results([], "yaml", tmp_path / "x")
@@ -377,17 +385,12 @@ class TestSummary:
 
 
 class TestChildSeeds:
-    def test_equal_numpy_seed_sequence(self):
-        rng = random.Random(0)
-        cases = [(0,), (7,), (7, 0, 0, 0), (2**32, 1), (2**64 - 1, 2, 0, 1), (2**64 + 5, 2, 3, 4), (2**200 + 1,),
-                 (3, 2**32), (3, 2**70, 1)]
-        for _ in range(1500):
-            seed = rng.randrange(2 ** rng.choice((4, 31, 32, 64, 65, 128)))
-            key = tuple(rng.randrange(2 ** rng.choice((2, 16, 32, 33, 64))) for _ in range(rng.randrange(6)))
-            cases.append((seed,) + key)
-        for seed, *key in cases:
-            expected = np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)).generate_state(1, np.uint64)[0]
-            assert _child_seed(seed, *key) == int(expected), (seed, key)
+    def test_stream_seeds_and_their_keys_are_distinct(self):
+        seeds = [_stream_seed(rep, v, k, j) for rep in (0, 1, 2**64 + 3) for v in range(3)
+                 for k in range(10_000) for j in range(3)]
+        assert len(set(seeds)) == len(seeds)
+        # seed h * 2^64 + 0 would hash like seed h: the low word must never be zero
+        assert len(np.unique(sim._seed_keys(seeds))) == len(seeds)
 
     def test_sampling_run_does_not_import_numpy_random(self):
         # numpy 1.x imports numpy.random with numpy itself, so compare before and after the run
@@ -411,16 +414,16 @@ def ring(n, steps=1):
 
 
 # sha256 of the --stable-timing CSV of each sampling config, recorded when
-# every fragment still had a sampler pass of its own: child seeds, fragment
-# order and every shot must stay as they were.
+# the stream seeds became packed (repetition seed, variant, fragment, basis)
+# fields: stream seeds, fragment order and every shot must stay as they were.
 PINNED_CSVS = {
     "grouped_per_fragment_n6": (
         dict(params=ring(6), mode="sampling", shots=64, repetitions=2, seed=11),
-        "ca8284c7a7e08427e240d25800aac17256ec65a8a2ea6d61f345ee0628196e9a"),
+        "2e4fa8aef36d94e227e814ddd16b0ec3956766cdacf42a171df986a855f059fe"),
     "enumerated_proportional_readout": (
         dict(params=ring(4), mode="sampling", shots=3000, repetitions=2, seed=5, sampling_strategy="enumerated",
              shot_allocation="proportional", noise=NoiseModel(readout_flip=0.05, reset_error=0.01)),
-        "07394892d01ccadf48229bbf8aa5e7857ce1ba34f3d2d39c6ca89fc4cc8048d1"),
+        "f7cedebbfdfcbdaa8f68a3237609059e7706a2536f461b0eb18661b92c3e17c7"),
 }
 
 
@@ -430,3 +433,17 @@ def test_sampling_csv_matches_the_recorded_digest(name, tmp_path):
     path = tmp_path / "out.csv"
     emit_results(run_experiment(ExperimentConfig(**fields)), "csv", path, stable_timing=True)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("strategy", ["grouped", "enumerated"])
+def test_sampling_run_lands_within_four_standard_errors_of_exact_mode(strategy):
+    shots = 20_000
+    fields = dict(params=ring(4), variants=("vtqg",), repetitions=1, seed=1, sampling_strategy=strategy)
+    exact, = run_experiment(ExperimentConfig(**fields))
+    sampled, = run_experiment(ExperimentConfig(mode="sampling", shots=shots, **fields))
+    build = build_trotter_circuit(ring(4), "vtqg")
+    builder = qpd.build_grouped_fragments if strategy == "grouped" else qpd.build_enumerated_fragments
+    # each shot's signed value lies in [-1, 1], so a component's variance is at most sum(w^2) / shots
+    se = math.sqrt(sum(f.weight**2 for f in builder(build.circuit, build.cuts)) / shots)
+    for component in ("sx", "sy", "sz"):
+        assert abs(getattr(sampled, component) - getattr(exact, component)) < 4 * se, component

@@ -38,7 +38,6 @@ from vtqg.sim import (
     expectations,
     run_density,
     run_statevector,
-    sample_bases,
     sample_fragments,
     sample_shots,
     write_shots_csv,
@@ -539,16 +538,23 @@ def column_log(monkeypatch):
     return log
 
 
+def sample_pairs(circuit, n_shots, seeds, bases, noise=None):
+    """One `Shots` per (seed, basis) pair of one circuit, from a one-run `sample_fragments` pass."""
+    return next(sample_fragments([FragmentRun(circuit, n_shots, seeds, bases)], noise))
+
+
 def assert_matches_one_call_per_pair(circuit, n_shots, seeds, noise):
     n = circuit.n_qubits
     bases = ["X" * n, "Y" * n, "Z" * n, ("XZY" * n)[:n]][:len(seeds)]
-    out = sample_bases(circuit, n_shots, seeds, bases, noise)
+    out = sample_pairs(circuit, n_shots, seeds, bases, noise)
     assert len(out) == len(seeds)
     for shots, seed, basis in zip(out, seeds, bases):
         assert same_shots(shots, sample_shots(circuit, n_shots, seed, basis=basis, noise=noise)), (seed, basis)
 
 
 class TestSampleBases:
+    """Several (seed, basis) pairs of one circuit, sampled in one `sample_fragments` run."""
+
     @pytest.mark.parametrize("noise", [None, NoiseModel(), NoiseModel(p2=0.3, reset_error=0.05, readout_flip=0.1)],
                              ids=["noiseless", "default", "heavy"])
     def test_equals_one_sample_shots_call_per_pair(self, noise):
@@ -558,24 +564,24 @@ class TestSampleBases:
         circuit = keep_rule_fragment()
         noise = NoiseModel(p2=0.3, reset_error=0.05, readout_flip=0.1)
         assert_matches_one_call_per_pair(circuit, 300, [5, 6, 7], noise)
-        out = sample_bases(circuit, 300, [5, 6, 7], ["XXXX", "YYYY", "ZZZZ"], noise)
+        out = sample_pairs(circuit, 300, [5, 6, 7], ["XXXX", "YYYY", "ZZZZ"], noise)
         assert all(len(np.unique(o.clbits[:, 0])) == 2 for o in out)  # the keep rule sees both outcomes
 
     def test_runs_spanning_blocks(self, monkeypatch):
         circuit, noise, seeds = pinned_circuit(), NoiseModel(p2=0.3, reset_error=0.05, readout_flip=0.1), [4, 9, 2]
         bases = ["XXXXX", "YZXZY", "ZZZZZ"]
-        whole = sample_bases(circuit, 50, seeds, bases, noise)
+        whole = sample_pairs(circuit, 50, seeds, bases, noise)
         monkeypatch.setattr(sim, "_BLOCK_AMPLITUDES", 1 << 10)  # 16-shot blocks, which straddle the pairs
         assert 50 % (sim._BLOCK_AMPLITUDES >> 6)
         assert_matches_one_call_per_pair(circuit, 50, seeds, noise)
-        for a, b in zip(sample_bases(circuit, 50, seeds, bases, noise), whole):
+        for a, b in zip(sample_pairs(circuit, 50, seeds, bases, noise), whole):
             assert same_shots(a, b)
 
     def test_noiseless_block_keeps_one_column_until_its_first_measurement(self, monkeypatch):
         log = column_log(monkeypatch)
         circuit = pinned_circuit()
         first = next(i for i, g in enumerate(circuit.gates) if g.kind.value == "MEASURE_Z")
-        sample_bases(circuit, 200, [1, 2, 3], ["XXXXX", "YYYYY", "ZZZZZ"])
+        sample_pairs(circuit, 200, [1, 2, 3], ["XXXXX", "YYYYY", "ZZZZZ"])
         assert [c for i, c in log if i < first] == [1] * first
         assert max(c for i, c in log if i > first) > 1  # the measurement split the shots by outcome
 
@@ -583,7 +589,7 @@ class TestSampleBases:
         log = column_log(monkeypatch)
         monkeypatch.setattr(sim, "_BLOCK_AMPLITUDES", 1 << 10)  # 16-shot blocks at n = 5
         noise = NoiseModel(p1=0.3, p2=0.3, reset_error=0.3)
-        sample_bases(pinned_circuit(), 40, [1, 2, 3], ["XXXXX", "YYYYY", "ZZZZZ"], noise)
+        sample_pairs(pinned_circuit(), 40, [1, 2, 3], ["XXXXX", "YYYYY", "ZZZZZ"], noise)
         columns = [c for _, c in log]
         assert max(columns) <= 16
         assert max(columns) > 8  # heavy noise sends most shots down histories of their own
@@ -594,24 +600,24 @@ class TestSampleBases:
         monkeypatch.setattr(sim, "gate_matrix", lambda g: built.append(g) or real(g))
         monkeypatch.setattr(sim, "_BLOCK_AMPLITUDES", 1 << 10)
         circuit = pinned_circuit()
-        sample_bases(circuit, 100, [1, 2, 3], ["XXXXX", "YYYYY", "ZZZZZ"], LAW_NOISE)
+        sample_pairs(circuit, 100, [1, 2, 3], ["XXXXX", "YYYYY", "ZZZZZ"], LAW_NOISE)
         dense = [g for g in circuit.gates if g.kind.value not in ("MEASURE_Z", "RESET", "RZ", "RZZ")]
         assert len(built) == len(dense)
 
     def test_validation(self):
         c = Circuit(2)
         with pytest.raises(ValueError, match="one seed per basis"):
-            sample_bases(c, 10, [1, 2], ["XX"])
+            sample_pairs(c, 10, [1, 2], ["XX"])
         with pytest.raises(ValueError, match="one seed per basis"):
-            sample_bases(c, 10, [], [])
+            sample_pairs(c, 10, [], [])
         with pytest.raises(ValueError, match="seed"):
-            sample_bases(c, 10, [1, -2], ["XX", "ZZ"])
+            sample_pairs(c, 10, [1, -2], ["XX", "ZZ"])
         with pytest.raises(ValueError, match="basis"):
-            sample_bases(c, 10, [1, 2], ["XX", "XQ"])
+            sample_pairs(c, 10, [1, 2], ["XX", "XQ"])
         with pytest.raises(ValueError, match="n_shots"):
-            sample_bases(c, 0, [1], ["XX"])
+            sample_pairs(c, 0, [1], ["XX"])
         with pytest.raises(ResourceLimitError):
-            sample_bases(Circuit(17), 1, [0], ["Z" * 17])
+            sample_pairs(Circuit(17), 1, [0], ["Z" * 17])
 
 
 def trotter_fragments(strategy, steps):
@@ -646,7 +652,7 @@ def assert_matches_one_call_per_fragment(runs, noise):
     out = list(sample_fragments(runs, noise))
     assert len(out) == len(runs)
     for run, per_basis in zip(runs, out):
-        expected = sample_bases(run.circuit, run.n_shots, run.seeds, run.bases, noise)
+        expected = sample_pairs(run.circuit, run.n_shots, run.seeds, run.bases, noise)
         assert len(per_basis) == len(expected)
         for got, want in zip(per_basis, expected):
             assert same_shots(got, want), run.insertions
