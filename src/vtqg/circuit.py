@@ -196,6 +196,8 @@ class CouplingMap:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
+        if self.n_physical < 1:
+            raise ValueError(f"coupling map 'n' must be at least 1, got {self.n_physical}")
         norm = set()
         for a, b in self.edges:
             if a == b:
@@ -405,26 +407,34 @@ def gate_to_line(g: Gate) -> str:
     return " ".join(parts)
 
 
+def _parsed(convert, token: str, line: str):
+    """convert(token), or a ValueError that quotes the line the token came from."""
+    try:
+        return convert(token)
+    except ValueError:
+        raise ValueError(f"cannot read {token!r} in line {line!r}") from None
+
+
 def gate_from_line(line: str) -> Gate:
     tokens = line.split()
     if len(tokens) < 2 or (tokens[0] == "IF" and len(tokens) < 3):
         raise ValueError(f"malformed gate line: {line!r}")
     if tokens[0] == "IF":
         inner = gate_from_line(" ".join(tokens[2:]))
-        return classically_controlled(inner, int(tokens[1]))
-    kind = GateKind(tokens[0])
-    qubits = tuple(int(t) for t in tokens[1].split(","))
+        return classically_controlled(inner, _parsed(int, tokens[1], line))
+    kind = _parsed(GateKind, tokens[0], line)
+    qubits = tuple(_parsed(int, t, line) for t in tokens[1].split(","))
     rest = tokens[2:]
     if kind == GateKind.MEASURE_Z:
         if len(rest) < 2 or rest[0] != "->" or rest[2:] not in ([], ["signed"]):
             raise ValueError(f"malformed measurement line: {line!r}")
-        return measure_z(qubits[0], int(rest[1]), signed=bool(rest[2:]))
+        return measure_z(qubits[0], _parsed(int, rest[1], line), signed=bool(rest[2:]))
     pet = rest[-1:] == ["pet"]
     if pet:
         rest = rest[:-1]
     if len(rest) > 1:
         raise ValueError(f"malformed gate line: {line!r}; expected at most one angle, then 'pet'")
-    return Gate(kind, qubits, angle=float(rest[0]) if rest else None, pet=pet)
+    return Gate(kind, qubits, angle=_parsed(float, rest[0], line) if rest else None, pet=pet)
 
 
 def circuit_to_text(circuit: Circuit) -> str:
@@ -443,7 +453,7 @@ def circuit_from_text(text: str) -> Circuit:
     if head[0] == "qubits":
         if len(head) != 4 or head[2] != "clbits":
             raise ValueError(f"malformed header line: {lines[0]!r}; expected 'qubits N clbits M'")
-        n_qubits, n_clbits = int(head[1]), int(head[3])
+        n_qubits, n_clbits = _parsed(int, head[1], lines[0]), _parsed(int, head[3], lines[0])
         start = 1
     gates = [gate_from_line(ln) for ln in lines[start:]]
     if n_qubits is None:  # headerless: infer sizes from the gates

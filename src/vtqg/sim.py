@@ -7,7 +7,9 @@ row axis q and column axis n+q.
 
 Density matrices are carried with their raw trace and nothing here ever
 renormalizes.  Expectation values are likewise raw traces, which keeps the
-whole pipeline linear in the state.
+whole pipeline linear in the state.  `expectations` is the one reader of
+observables, for both kinds of state: it reads every Pauli string on the
+marginal of its support, taken once per support.
 
 Every density operation is one 4^k x 4^k superoperator on the (row, column)
 axis pairs of its k qubits, applied by one kernel, `_apply_superop`: a noisy
@@ -60,7 +62,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .circuit import Circuit, Gate, GateKind
-from .errors import InvalidCircuitError, ResourceLimitError, StatevectorModeError
+from .errors import ResourceLimitError, StatevectorModeError
 
 DENSITY_QUBIT_CAP = 10
 STATEVECTOR_QUBIT_CAP = 16
@@ -145,16 +147,6 @@ def _gate_diagonal(g: Gate) -> np.ndarray | None:
         p, m = np.exp(-1j * g.angle / 2), np.exp(1j * g.angle / 2)
         return np.array([[p, m], [m, p]])
     return None
-
-
-def _partial_trace(rho_t: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
-    remaining = list(range(n))
-    out = rho_t
-    for q in sorted(qubits, reverse=True):
-        i = remaining.index(q)
-        out = np.trace(out, axis1=i, axis2=len(remaining) + i)
-        remaining.pop(i)
-    return out
 
 
 # --- density kernel ---------------------------------------------------------
@@ -280,10 +272,10 @@ class PauliObservable:
 # --- statevector execution --------------------------------------------------
 
 
-def run_statevector(circuit: Circuit, max_qubits: int = STATEVECTOR_QUBIT_CAP) -> StateVector:
+def run_statevector(circuit: Circuit) -> StateVector:
     """Exact state after a unitary-only circuit, from |0...0>."""
-    if circuit.n_qubits > max_qubits:
-        raise ResourceLimitError(f"{circuit.n_qubits} qubits exceeds statevector cap {max_qubits}")
+    if circuit.n_qubits > STATEVECTOR_QUBIT_CAP:
+        raise ResourceLimitError(f"{circuit.n_qubits} qubits exceeds statevector cap {STATEVECTOR_QUBIT_CAP}")
     for g in circuit.gates:
         if not g.is_unitary:
             raise StatevectorModeError(f"{g.kind.value} is not supported in statevector mode")
@@ -342,65 +334,33 @@ def apply_gates_density(state: DensityMatrix, gates, noise=None) -> DensityMatri
     return DensityMatrix(n, total.reshape(state.mat.shape))
 
 
-def run_density(circuit: Circuit, noise=None, *, initial: DensityMatrix | None = None,
-                max_qubits: int = DENSITY_QUBIT_CAP) -> DensityMatrix:
-    """Exact channel evaluation: every gate, then the noise assigned to it."""
-    if circuit.n_qubits > max_qubits:
-        raise ResourceLimitError(f"{circuit.n_qubits} qubits exceeds density cap {max_qubits}")
-    if initial is None:
-        initial = DensityMatrix.zero(circuit.n_qubits)
-    elif initial.n_qubits != circuit.n_qubits:
-        raise InvalidCircuitError("initial state size does not match the circuit")
-    return apply_gates_density(initial, circuit.gates, noise)
+def run_density(circuit: Circuit, noise=None) -> DensityMatrix:
+    """Exact channel evaluation from |0...0>: every gate, then the noise assigned to it."""
+    if circuit.n_qubits > DENSITY_QUBIT_CAP:
+        raise ResourceLimitError(f"{circuit.n_qubits} qubits exceeds density cap {DENSITY_QUBIT_CAP}")
+    return apply_gates_density(DensityMatrix.zero(circuit.n_qubits), circuit.gates, noise)
 
 
 # --- expectation values -------------------------------------------------------
 
 
-def _apply_pauli_string_rows(tensor: np.ndarray, string: str) -> np.ndarray:
-    for q, ch in enumerate(string):
-        if ch == "I":
-            continue
-        tensor = _apply_1q(tensor, _PAULI[ch], q)
-    return tensor
-
-
-def expectation(state: StateVector | DensityMatrix, obs: PauliObservable) -> float:
-    """<obs>: raw trace for density matrices (no renormalization), <psi|P|psi> for vectors."""
-    if obs.n_qubits != state.n_qubits:
-        raise ValueError(f"observable on {obs.n_qubits} qubits, state on {state.n_qubits}")
-    n = state.n_qubits
-    total = 0.0
-    if isinstance(state, StateVector):
-        psi = state.amps.reshape([2] * n)
-        for s, w in obs.terms:
-            total += w * float(np.vdot(psi, _apply_pauli_string_rows(psi, s)).real)
-        return total
-    dim = 2**n
-    for s, w in obs.terms:
-        support = [q for q, ch in enumerate(s) if ch != "I"]
-        if len(support) <= 1:
-            # reduce to the 2x2 (or scalar) marginal instead of touching the full state
-            others = tuple(q for q in range(n) if q not in support)
-            reduced = _partial_trace(state.tensor(), others, n) if others else state.tensor()
-            if support:
-                total += w * float(np.trace(_PAULI[s[support[0]]] @ reduced).real)
-            else:
-                total += w * float(reduced.real)
-            continue
-        t = _apply_pauli_string_rows(state.tensor(), s)
-        total += w * float(np.trace(t.reshape(dim, dim)).real)
-    return total
+@functools.lru_cache(maxsize=256)
+def _pauli_matrix(letters: str) -> np.ndarray:
+    """Kronecker product of the letters' 2x2 matrices; cached and shared, so no caller may write to it."""
+    return functools.reduce(np.kron, (_PAULI[ch] for ch in letters), np.eye(1))
 
 
 def expectations(state: StateVector | DensityMatrix, observables) -> list[float]:
-    """`expectation` of each observable; those on one support share its marginal, computed once.
+    """<obs> of each observable: a raw trace for a density matrix (no renormalization), <psi|obs|psi> for a vector.
 
-    A density matrix's marginal is the partial trace `expectation` takes, and
-    a wire's letters are read from it as `expectation` reads them, so
-    single-qubit values are bit-identical to it.  A statevector's marginal is
-    the Gram matrix of its amplitudes grouped by the support's index: for one
-    wire, of the wire's two amplitude halves.
+    The observables are grouped by support (0, 1 or more wires), each support's
+    2^k x 2^k marginal is taken once, and each distinct Pauli string is read on
+    it once, as Tr(P . marginal) with P the Kronecker product of the string's
+    letters on the support; a single wire's P is its letter's 2x2 matrix.  A
+    density matrix's marginal is one einsum in which each wire off the support
+    gives its column axis its row axis's label, so all those wires are traced
+    in one call.  A statevector's is the Gram matrix of its amplitudes grouped
+    by the support's index, each entry one pairwise sum.
     """
     n = state.n_qubits
     groups: dict[tuple[int, ...], list[int]] = {}
@@ -413,23 +373,21 @@ def expectations(state: StateVector | DensityMatrix, observables) -> list[float]
         k = len(support)
         if isinstance(state, StateVector):
             blocks = np.moveaxis(state.amps.reshape([2] * n), support, range(k)).reshape(2**k, -1)
-            t = np.array([[np.sum(a * b.conj()) for b in blocks] for a in blocks])  # pairwise sums
+            marginal = np.array([[np.sum(a * b.conj()) for b in blocks] for a in blocks])
         else:
-            others = tuple(q for q in range(n) if q not in support)
-            t = _partial_trace(state.tensor(), others, n) if others else state.tensor()
-        t = t.reshape(2**k, 2**k)
-        if k == 1:  # one 2x2 product per letter, shared by the wire's observables
-            q = support[0]
-            letters = {s[q] for i in indices for s, _ in observables[i].terms}
-            read = {ch: float(np.trace(_PAULI[ch] @ t).real) for ch in letters}
-            for i in indices:
-                values[i] = sum(w * read[s[q]] for s, w in observables[i].terms)
-            continue
-        marginal = DensityMatrix(k, t)
+            columns = [n + q if q in support else q for q in range(n)]
+            kept = [*support, *(n + q for q in support)]
+            marginal = np.einsum(state.tensor(), [*range(n), *columns], kept).reshape(2**k, 2**k)
+        strings = {"".join(s[q] for q in support) for i in indices for s, _ in observables[i].terms}
+        read = {p: float(np.einsum("ij,ji->", _pauli_matrix(p), marginal).real) for p in strings}
         for i in indices:
-            terms = tuple(("".join(s[q] for q in support), w) for s, w in observables[i].terms)
-            values[i] = expectation(marginal, PauliObservable(terms))
+            values[i] = sum(w * read["".join(s[q] for q in support)] for s, w in observables[i].terms)
     return values
+
+
+def expectation(state: StateVector | DensityMatrix, obs: PauliObservable) -> float:
+    """<obs> of one observable; see `expectations`."""
+    return expectations(state, [obs])[0]
 
 
 # --- shot sampling -------------------------------------------------------------

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, CouplingMap, Layout, decompose_rzz_rzx, route_ring_closure, rx, rzz
-from .errors import ResourceLimitError
 from .qpd import CutSite, decomposition_angle, run_enumerated_exact
 from .sim import (
     STATEVECTOR_QUBIT_CAP,
@@ -91,8 +90,7 @@ class TrotterBuild:
     cuts: tuple[CutSite, ...] = ()
 
 
-def build_trotter_circuit(params: TfimParams, variant: str,
-                          coupling: CouplingMap | None = None) -> TrotterBuild:
+def build_trotter_circuit(params: TfimParams, variant: str) -> TrotterBuild:
     """Assemble one of the four circuit variants for the given parameters."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -116,7 +114,7 @@ def build_trotter_circuit(params: TfimParams, variant: str,
             else:
                 gates.append(rzz(params.theta_zz, i, i + 1))
     if variant == "routed_original":
-        closure, layout = route_ring_closure(n, coupling or CouplingMap.path(n), params.theta_zz)
+        closure, layout = route_ring_closure(n, CouplingMap.path(n), params.theta_zz)
         gates += list(closure.gates)
     return TrotterBuild(variant, Circuit(n, 0, tuple(gates)), layout, tuple(cuts))
 
@@ -144,16 +142,13 @@ def pauli_components(state: StateVector | DensityMatrix,
     return out[0], out[1], out[2]
 
 
-def exact_reference(params: TfimParams, max_qubits: int | None = None) -> float:
+def exact_reference(params: TfimParams) -> float:
     """Noiseless magnetization of the ideal circuit from |0...0>; the in-package oracle.
 
     Up to STATEVECTOR_QUBIT_CAP qubits it is a statevector run; past that, the
-    noiseless light-cone evaluation of `run_enumerated_exact`.  A ring larger
-    than `max_qubits`, if given, is refused.
+    noiseless light-cone evaluation of `run_enumerated_exact`.
     """
     n = params.n_qubits
-    if max_qubits is not None and n > max_qubits:
-        raise ResourceLimitError(f"{n} qubits exceeds reference cap {max_qubits}")
     build = build_trotter_circuit(params, "ideal")
     if n <= STATEVECTOR_QUBIT_CAP:
         return magnetization(*pauli_components(run_statevector(build.circuit)))

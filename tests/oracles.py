@@ -171,6 +171,16 @@ def random_density(n, rng):
     return rho / np.trace(rho)
 
 
+def pauli_expectation(state, string):
+    """Tr(P rho) for a density matrix, <psi|P|psi> for a vector, with P the kron of the string's letters."""
+    p = np.eye(1)
+    for ch in string:
+        p = np.kron(p, {"I": I2, "X": X, "Y": Y, "Z": Z}[ch])
+    if state.ndim == 1:
+        return float(np.vdot(state, p @ state).real)
+    return float(np.trace(p @ state).real)
+
+
 def random_hermitian(n, rng):
     d = 2**n
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))

@@ -278,6 +278,11 @@ class TestTextFormat:
             circuit_from_text("MEASURE_Z 0 -> 0 junk\n")
         with pytest.raises(ValueError, match="'MEASURE_Z 0 -> 0 signed signed'"):
             circuit_from_text("MEASURE_Z 0 -> 0 signed signed\n")
+        for line in ("X 0 junk", "FOO 0", "RX a 0.5", "IF z X 0", "MEASURE_Z 0 -> q"):
+            with pytest.raises(ValueError, match=f"'{line}'"):
+                circuit_from_text(f"qubits 1 clbits 1\nMEASURE_Z 0 -> 0\n{line}\n")
+        with pytest.raises(ValueError, match="'qubits x clbits 1'"):
+            circuit_from_text("qubits x clbits 1\nX 0\n")
 
 
 class TestCouplingMapJson:
@@ -308,7 +313,8 @@ class TestCouplingMapJson:
                                             ('{"n": true, "edges": []}', "'n'"),
                                             ('{"n": 2, "edges": [[0, 1.9]]}', "'edges'"),
                                             ('{"n": 2, "edges": [[true, 1]]}', "'edges'"),
-                                            ('{"n": 2, "edges": [["0", 1]]}', "'edges'")])
+                                            ('{"n": 2, "edges": [["0", 1]]}', "'edges'"),
+                                            ('{"n": -1, "edges": []}', "'n'"), ('{"n": 0, "edges": []}', "'n'")])
     def test_malformed_json_names_the_field(self, text, field):
         with pytest.raises(ValueError, match=field):
             CouplingMap.from_json(text)

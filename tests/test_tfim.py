@@ -205,7 +205,3 @@ class TestExactReference:
             for steps in (1, 3):
                 p = TfimParams(4, 0.0, J, 0.25, steps)
                 assert exact_reference(p) == pytest.approx(1.0, abs=1e-12)
-
-    def test_cap(self):
-        with pytest.raises(ResourceLimitError):
-            exact_reference(params(8), max_qubits=6)
