@@ -98,8 +98,8 @@ def _cmd_decompose(args) -> int:
         aa = "" if t.alpha_a is None else f"{t.alpha_a:+d}"
         ab = "" if t.alpha_b is None else f"{t.alpha_b:+d}"
         print(f"{i:>3} {t.family:<10} {aa:>7} {ab:>7} {t.coefficient:>14.10f}   {op_pair_label(t)}")
-    print(f"\ngrouped instruments (sum |weight| = gamma = {gamma(args.theta, self_check=True):.10f}):")
-    for g in group_for_sampling(terms):
+    print(f"\ngrouped instruments (sum |weight| = gamma = {gamma(args.theta):.10f}):")
+    for g in group_for_sampling(args.theta):
         rz = "" if g.rz_angle is None else f"  rz={g.rz_angle:+.6f}"
         print(f"  {g.kind:<10} weight={g.weight:+.10f}{rz}")
     return 0

@@ -16,7 +16,7 @@ import numbers
 from dataclasses import asdict, dataclass
 
 from .circuit import Gate, GateKind
-from .sim import DensityMatrix, depolarize_tensor
+from .sim import DensityMatrix, _DepolarizeOp, _evolve
 
 PET_OFF = "off"
 PET_LINEAR = "linear_in_angle"
@@ -87,5 +87,4 @@ def depolarize(state: DensityMatrix, qubits: tuple[int, ...] | list[int], p: flo
         raise ValueError(f"qubits must be integers in [0, {n}), got {qubits}")
     if not 1 <= len(qubits) <= 2 or len(set(qubits)) != len(qubits):
         raise ValueError(f"depolarize acts on one or two distinct qubits, got {qubits}")
-    t = depolarize_tensor(state.tensor(), qubits, float(p), n)
-    return DensityMatrix(n, t.reshape(state.mat.shape))
+    return _evolve(state, [_DepolarizeOp(qubits, float(p))], None)

@@ -41,8 +41,7 @@ import numpy as np
 
 from .circuit import Circuit, Gate, GateKind, circuit_to_text, measure_z, reset, rz, x
 from .errors import PreconditionError, ResourceLimitError
-from .sim import (DENSITY_QUBIT_CAP, DensityMatrix, PauliObservable, _apply_superop, _depolarizing, apply_gates_density,
-                  expectations, run_density)
+from .sim import DENSITY_QUBIT_CAP, DensityMatrix, PauliObservable, _DepolarizeOp, _evolve, expectations, run_density
 
 FAMILY_II = "II"
 FAMILY_ZZ = "ZZ"
@@ -150,24 +149,14 @@ def reconstruct_channel(terms: list[QpdTerm], rho: DensityMatrix) -> DensityMatr
     """Weighted sum of all terms applied to a two-qubit state."""
     if rho.n_qubits != 2:
         raise ValueError(f"reconstruction is defined on 2-qubit states, got {rho.n_qubits}")
-    superop = _cut_superop([(t.coefficient, t) for t in terms])
-    return DensityMatrix(2, _apply_superop(rho.tensor(), superop, (0, 1), 2).reshape(4, 4))
+    return _evolve(rho, [_CutOp((0, 1), tuple((t.coefficient, t) for t in terms))], None)
 
 
-def gamma(theta: float, *, self_check: bool = False) -> float:
-    """Sampling overhead: 1-norm of the grouped quasi-probability weights.
-
-    With self_check=True the closed form 1 + 2|sin theta| is re-derived from
-    the grouped instrument weights and both paths must agree to 1e-12.
-    """
+def gamma(theta: float) -> float:
+    """Sampling overhead: 1-norm of the grouped quasi-probability weights, 1 + 2|sin theta|."""
     if not math.isfinite(theta):
         raise ValueError(f"angle must be finite, got {theta}")
-    value = 1.0 + 2.0 * abs(math.sin(theta))
-    if self_check:
-        summed = sum(abs(g.weight) for g in group_for_sampling(decompose_vrzz(theta)))
-        if abs(summed - value) > 1e-12:
-            raise AssertionError(f"gamma self-check failed: {summed} vs {value}")
-    return value
+    return 1.0 + 2.0 * abs(math.sin(theta))
 
 
 KIND_MEAS_ROT = "MEAS_ROT"  # signed Z measurement on qubit a, Rz on qubit b
@@ -216,27 +205,8 @@ class CutOption:
         return next(g.angle for g in gates if g.kind == GateKind.RZ)
 
 
-def _validate_terms(terms: list[QpdTerm]) -> None:
-    """Check a term list came from decompose_vrzz."""
-    if len(terms) != 10 or terms[0].family != FAMILY_II or terms[1].family != FAMILY_ZZ:
-        raise ValueError("term list does not match the ten-term decomposition layout")
-    cc, ss = terms[0].coefficient, terms[1].coefficient
-    if cc < -1e-12 or ss < -1e-12 or abs(cc + ss - 1.0) > 1e-9:
-        raise ValueError("diagonal coefficients are not cos^2/sin^2 summing to 1")
-    cs = terms[2].coefficient * 8.0  # alpha pair (+1, +1)
-    if abs(abs(cs) - math.sqrt(max(cc, 0.0) * max(ss, 0.0))) > 1e-9:
-        raise ValueError("cross coefficients are inconsistent with the diagonal ones")
-    expected_families = [FAMILY_PROJ_ROT, FAMILY_ROT_PROJ] * 4
-    for t, fam, (aa, ab) in zip(terms[2:], expected_families,
-                                [p for p in itertools.product((1, -1), repeat=2) for _ in (0, 1)]):
-        if t.family != fam or t.alpha_a != aa or t.alpha_b != ab:
-            raise ValueError("cross terms out of canonical order")
-        if abs(t.coefficient - 0.125 * cs * aa * ab) > 1e-9:
-            raise ValueError("cross coefficient does not match its sign pair")
-
-
-def group_for_sampling(terms: list[QpdTerm]) -> list[CutOption]:
-    """Collapse each sign quadruple into signed instruments: six options per cut.
+def group_for_sampling(theta: float) -> list[CutOption]:
+    """Collapse each sign quadruple of `decompose_vrzz(theta)` into signed instruments: six options per cut.
 
     A cross term and its partner with the opposite projector sign have
     opposite coefficients, so the term whose projector sign is +1 stands for
@@ -245,8 +215,7 @@ def group_for_sampling(terms: list[QpdTerm]) -> list[CutOption]:
     turns by -pi/2 or +pi/2 with weights +-cos(t/2)sin(t/2).  Absolute
     weights sum to gamma.
     """
-    _validate_terms(terms)
-    kept = [t for t in terms if all(alpha == 1 for side, alpha in t.sides() if side == "PROJ_PLUS")]
+    kept = [t for t in decompose_vrzz(theta) if all(alpha == 1 for side, alpha in t.sides() if side == "PROJ_PLUS")]
     families = list(_FAMILY_SIDES)
     return [CutOption(t, signed=True) for t in sorted(kept, key=lambda t: families.index(t.family))]
 
@@ -347,39 +316,12 @@ class _CutOp(NamedTuple):
         return _cut_superop(self.weighted_terms)
 
 
-class _NoiseOp(NamedTuple):
-    """Depolarizing noise with no gate: what a gate dropped from a light cone leaves on it."""
-
-    qubits: tuple[int, ...]
-    p: float
-
-    @property
-    def superop(self) -> np.ndarray:
-        return _depolarizing(len(self.qubits), self.p)
-
-
 def _program(circuit: Circuit, cuts: list[CutSite], weighted_terms) -> list:
     """The circuit's gates with the op of cut i, carrying weighted_terms[i], before gate cuts[i].position."""
     program = list(circuit.gates)
     for cut, pairs in reversed(list(zip(cuts, weighted_terms))):  # back to front keeps positions valid
         program.insert(cut.position, _CutOp((cut.qubit_a, cut.qubit_b), tuple(pairs)))
     return program
-
-
-def _run_program(n_qubits: int, program: list, noise) -> DensityMatrix:
-    """Evolve |0...0>: each run of gates is one density-engine call; any other op is its superoperator."""
-    if n_qubits > DENSITY_QUBIT_CAP:
-        raise ResourceLimitError(f"{n_qubits} qubits exceeds density cap {DENSITY_QUBIT_CAP}")
-    rho = DensityMatrix.zero(n_qubits)
-    for is_gate, ops in itertools.groupby(program, lambda op: isinstance(op, Gate)):
-        if is_gate:
-            rho = apply_gates_density(rho, list(ops), noise)
-        else:
-            t = rho.tensor()
-            for op in ops:
-                t = _apply_superop(t, op.superop, op.qubits, n_qubits)
-            rho = DensityMatrix(n_qubits, t.reshape(rho.mat.shape))
-    return rho
 
 
 # --- light cones ---------------------------------------------------------------
@@ -433,10 +375,10 @@ def _light_cone(steps: list[tuple], wires: tuple[int, ...], noise) -> tuple[int,
             needed = [q for q in qubits if q in slot]
             slots = tuple(slot[q] for q in needed)
             p = 0.0 if kind is None or noise is None else noise.strength_for(op)
-            if p > 0.0 and reduced and isinstance(reduced[-1][0], _NoiseOp) and reduced[-1][1] == slots:
+            if p > 0.0 and reduced and isinstance(reduced[-1][0], _DepolarizeOp) and reduced[-1][1] == slots:
                 p = 1.0 - (1.0 - p) * (1.0 - reduced.pop()[0].p)  # one channel, composed
             if p > 0.0:
-                reduced.append((_NoiseOp(slots, p), slots))
+                reduced.append((_DepolarizeOp(slots, p), slots))
             if kind is GateKind.SWAP:
                 a, b = qubits
                 moved = [(b if q == a else a, slot.pop(q), cls.pop(q)) for q in needed]
@@ -515,8 +457,8 @@ def _evaluate_cones(cones: list, observables: list[PauliObservable], noise) -> l
     values = [0.0] * len(observables)
     for group in same_program.values():
         _, _, width, reduced = group[0]
-        rho = _run_program(width, [replace(op, qubits=slots) if isinstance(op, Gate) else op._replace(qubits=slots)
-                                   for op, slots in reduced], noise)
+        rho = _evolve(DensityMatrix.zero(width), [replace(op, qubits=slots) if isinstance(op, Gate)
+                                                  else op._replace(qubits=slots) for op, slots in reduced], noise)
         for support, indices, _, _ in group:
             local = [PauliObservable(tuple(("".join(s[q] for q in support).ljust(width, "I"), w)
                                            for s, w in observables[i].terms)) for i in indices]
@@ -529,14 +471,14 @@ def run_enumerated_exact(circuit: Circuit, cuts, observables: list[PauliObservab
                          noise=None) -> tuple[list[float], int]:
     """Exact coefficient-weighted sum of the observables over all 10^m term combinations.
 
-    By linearity the sum is one channel per cut, so each segment between cuts
-    is evolved once.  The observables on each distinct support are evaluated
-    on that support's light cone instead, one density run per distinct cone
-    program, when the cones are estimated cheaper than the full run or the
-    circuit is past the density cap, which then applies to each cone.  Either
-    way the observables of one support are read from its marginal, traced out
-    once.  Returns the values and the number of term combinations the sum
-    covers, 10^m.
+    By linearity the sum is one channel per cut, so the circuit with those
+    channels in place is one program, run once by sim's branch loop.  The
+    observables on each distinct support are evaluated on that support's
+    light cone instead, one density run per distinct cone program, when the
+    cones are estimated cheaper than the full run or the circuit is past the
+    density cap, which then applies to each cone.  Either way the observables
+    of one support are read from its marginal, traced out once.  Returns the
+    values and the number of term combinations the sum covers, 10^m.
     """
     cuts = _check_cuts(circuit, cuts)
     term_lists = [decompose_vrzz(c.theta) for c in cuts]
@@ -547,7 +489,7 @@ def run_enumerated_exact(circuit: Circuit, cuts, observables: list[PauliObservab
                          _cost(n, program) if n <= DENSITY_QUBIT_CAP else None)
     if cones is not None:
         return _evaluate_cones(cones, observables, noise), count
-    return expectations(_run_program(n, program, noise), observables), count
+    return expectations(_evolve(DensityMatrix.zero(n), program, noise), observables), count
 
 
 # The most cuts a fragment builder takes: m cuts make 6^m grouped or 10^m
@@ -581,7 +523,7 @@ def _build_fragments(circuit: Circuit, cuts, options_for) -> list[SampledFragmen
     ResourceLimitError.
     """
     cuts = _check_cuts(circuit, cuts)
-    options = [options_for(decompose_vrzz(c.theta)) for c in cuts]
+    options = [options_for(c.theta) for c in cuts]
     if len(cuts) > MAX_FRAGMENT_CUTS:
         raise ResourceLimitError(f"{len(cuts)} cuts would build {len(options[0])}^{len(cuts)} fragment "
                                  f"circuits (cap is {MAX_FRAGMENT_CUTS} cuts)")
@@ -614,7 +556,7 @@ def build_enumerated_fragments(circuit: Circuit, cuts) -> list[SampledFragment]:
     rotation and Pauli sides become RZ gates.  Each cross term carries the
     operator-norm scale 8 folded into its weight.
     """
-    return _build_fragments(circuit, cuts, lambda terms: [CutOption(t) for t in terms])
+    return _build_fragments(circuit, cuts, lambda theta: [CutOption(t) for t in decompose_vrzz(theta)])
 
 
 def op_pair_label(term: QpdTerm) -> str:
@@ -666,8 +608,8 @@ def write_fragment_manifest(path, circuit: Circuit, cuts, mode: str = "enumerate
 def evaluate_term_exact(circuit: Circuit, cut: CutSite, term: QpdTerm,
                         observables: list[PauliObservable], noise=None) -> list[float]:
     """Raw (pre-coefficient) values of one term's fragment, exactly."""
-    rho = _run_program(circuit.n_qubits, _program(circuit, _check_cuts(circuit, [cut]), [[(1.0, term)]]), noise)
-    return expectations(rho, observables)
+    program = _program(circuit, _check_cuts(circuit, [cut]), [[(1.0, term)]])
+    return expectations(_evolve(DensityMatrix.zero(circuit.n_qubits), program, noise), observables)
 
 
 def realize_simplified(circuit: Circuit, cut: CutSite, simplified: SimplifiedTerm) -> Circuit:

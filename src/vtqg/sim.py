@@ -16,7 +16,10 @@ axis pairs of its k qubits, applied by one kernel, `_apply_superop`: a noisy
 gate is D_p (U (x) U*), D_p its depolarizing map; a measurement outcome is
 its projector map, then D_p; a reset is rho -> |0><0| Tr rho, then D_p; a
 classically controlled gate is its inner gate's map, on the branches whose
-bit reads 1.  `qpd` applies cuts and gate-less noise through the same kernel.
+bit reads 1.  One branch loop, `_evolve`, runs every exact program; a gate-less
+operation (a `qpd` cut, depolarizing noise) is anything with `qubits` and a
+`superop` and acts on every live branch, so feedback after a cut reads bits
+measured before it.  `DensityMatrix.zero` checks the density cap.
 
 Shot sampling advances a block of shots together.  The block is one state
 tensor with one column per distinct history as its trailing axis,
@@ -192,9 +195,15 @@ def _superop(g: Gate, p: float, outcome: int = 0) -> np.ndarray:
     return _depolarizing(len(g.qubits), p) @ s if p else s
 
 
-def depolarize_tensor(rho_t: np.ndarray, qubits: tuple[int, ...], p: float, n: int) -> np.ndarray:
-    """(1-p) rho + p (I/2^k (x) Tr_qubits rho) on the participating qubits."""
-    return _apply_superop(rho_t, _depolarizing(len(qubits), p), qubits, n)
+class _DepolarizeOp(NamedTuple):
+    """Depolarizing noise of strength p on `qubits`, with no gate: a gate-less operation of the density loop."""
+
+    qubits: tuple[int, ...]
+    p: float
+
+    @property
+    def superop(self) -> np.ndarray:
+        return _depolarizing(len(self.qubits), self.p)
 
 
 # --- states ---------------------------------------------------------------
@@ -223,6 +232,8 @@ class DensityMatrix:
 
     @classmethod
     def zero(cls, n: int) -> "DensityMatrix":
+        if n > DENSITY_QUBIT_CAP:  # the one check of the density cap, before anything is allocated
+            raise ResourceLimitError(f"{n} qubits exceeds density cap {DENSITY_QUBIT_CAP}")
         mat = np.zeros((2**n, 2**n), dtype=complex)
         mat[0, 0] = 1.0
         return cls(n, mat)
@@ -297,8 +308,13 @@ class _Branch:
         self.sign = sign
 
 
-def _evolve_branches(branches: list[_Branch], gates, noise, n: int) -> list[_Branch]:
-    for g in gates:
+def _evolve_branches(branches: list[_Branch], ops, noise, n: int) -> list[_Branch]:
+    for g in ops:
+        if not isinstance(g, Gate):  # a gate-less operation acts on every live branch
+            superop = g.superop
+            for br in branches:
+                br.rho = _apply_superop(br.rho, superop, g.qubits, n)
+            continue
         p = 0.0 if noise is None else noise.strength_for(g)
         if g.kind == GateKind.MEASURE_Z:
             split: list[_Branch] = []
@@ -317,28 +333,30 @@ def _evolve_branches(branches: list[_Branch], gates, noise, n: int) -> list[_Bra
     return branches
 
 
-def apply_gates_density(state: DensityMatrix, gates, noise=None) -> DensityMatrix:
-    """Evolve a density matrix through a gate sequence under an optional noise model.
+def _evolve(state: DensityMatrix, ops, noise) -> DensityMatrix:
+    """The density engine's one loop: evolve `state` through gates and gate-less operations (cuts, noise).
 
-    Measurements apply the full Z instrument: the state branches per outcome
-    and the branches are summed back (outcome 1 of a signed measurement with
-    sign -1) on return.  Classical feedback therefore only sees bits
-    measured within this same call.
+    Each measurement splits every branch by outcome; the branches are summed
+    (outcome 1 of a signed measurement with sign -1) only on return, so
+    classical feedback reads every bit measured earlier in `ops`.
     """
     n = state.n_qubits
-    gates = list(gates)
-    n_clbits = 1 + max((g.clbit for g in gates if g.clbit is not None), default=-1)
+    ops = list(ops)
+    n_clbits = 1 + max((op.clbit for op in ops if isinstance(op, Gate) and op.clbit is not None), default=-1)
     branches = [_Branch(state.tensor(), [0] * n_clbits, 1)]  # no kernel writes to its input
-    branches = _evolve_branches(branches, gates, noise, n)
+    branches = _evolve_branches(branches, ops, noise, n)
     total = sum(br.sign * br.rho for br in branches)
     return DensityMatrix(n, total.reshape(state.mat.shape))
 
 
+def apply_gates_density(state: DensityMatrix, gates, noise=None) -> DensityMatrix:
+    """Evolve a density matrix through gates under an optional noise model; feedback sees only this call's bits."""
+    return _evolve(state, gates, noise)
+
+
 def run_density(circuit: Circuit, noise=None) -> DensityMatrix:
     """Exact channel evaluation from |0...0>: every gate, then the noise assigned to it."""
-    if circuit.n_qubits > DENSITY_QUBIT_CAP:
-        raise ResourceLimitError(f"{circuit.n_qubits} qubits exceeds density cap {DENSITY_QUBIT_CAP}")
-    return apply_gates_density(DensityMatrix.zero(circuit.n_qubits), circuit.gates, noise)
+    return _evolve(DensityMatrix.zero(circuit.n_qubits), circuit.gates, noise)
 
 
 # --- expectation values -------------------------------------------------------
@@ -360,7 +378,7 @@ def expectations(state: StateVector | DensityMatrix, observables) -> list[float]
     density matrix's marginal is one einsum in which each wire off the support
     gives its column axis its row axis's label, so all those wires are traced
     in one call.  A statevector's is the Gram matrix of its amplitudes grouped
-    by the support's index, each entry one pairwise sum.
+    by the support's index, each entry one pairwise sum, refused past the density cap.
     """
     n = state.n_qubits
     groups: dict[tuple[int, ...], list[int]] = {}
@@ -372,6 +390,9 @@ def expectations(state: StateVector | DensityMatrix, observables) -> list[float]
     for support, indices in groups.items():
         k = len(support)
         if isinstance(state, StateVector):
+            if k > DENSITY_QUBIT_CAP:  # the marginal is a k-qubit density matrix
+                raise ResourceLimitError(f"the marginal on qubits {list(support)} spans {k} qubits, "
+                                         f"which exceeds density cap {DENSITY_QUBIT_CAP}")
             blocks = np.moveaxis(state.amps.reshape([2] * n), support, range(k)).reshape(2**k, -1)
             marginal = np.array([[np.sum(a * b.conj()) for b in blocks] for a in blocks])
         else:

@@ -89,7 +89,7 @@ def test_criterion_1_channel_completeness():
 def test_criterion_2_sampling_overhead_identity():
     def body():
         for theta in _theta_grid():
-            weights = sum(abs(g.weight) for g in group_for_sampling(decompose_vrzz(theta)))
+            weights = sum(abs(g.weight) for g in group_for_sampling(theta))
             assert abs(weights - (1 + 2 * abs(math.sin(theta)))) < 1e-12
         assert gamma(0.0) == 1.0
         assert gamma(math.pi / 2) == 3.0

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vtqg import qpd
-from vtqg.circuit import Circuit, Gate, circuit_from_text, cnot, measure_z, rx, rz, rzz
+from vtqg.circuit import Circuit, Gate, circuit_from_text, classically_controlled, cnot, h, measure_z, rx, rz, rzz, x
 from vtqg.errors import PreconditionError, ResourceLimitError
 from vtqg.qpd import (
     CROSS_TERM_SCALE,
@@ -92,6 +92,8 @@ class TestDecomposition:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             decompose_vrzz(float("nan"))
+        with pytest.raises(ValueError):
+            group_for_sampling(float("nan"))
 
     def test_gate_angle_mapping(self):
         assert decomposition_angle(-0.787) == 0.787
@@ -212,29 +214,25 @@ class TestGamma:
     def test_reference_angle(self):
         assert gamma(0.787) == pytest.approx(oracles.GAMMA_AT_0787, abs=1e-12)
 
-    def test_self_check_path(self):
-        for theta in (0.0, 0.787, -1.3, math.pi / 2):
-            assert gamma(theta, self_check=True) == gamma(theta)
-
     def test_grouped_one_norm_matches_closed_form(self):
         rng = np.random.default_rng(21)
         for theta in rng.uniform(-2 * math.pi, 2 * math.pi, size=20):
-            weights = sum(abs(g.weight) for g in group_for_sampling(decompose_vrzz(theta)))
+            weights = sum(abs(g.weight) for g in group_for_sampling(theta))
             assert weights == pytest.approx(1 + 2 * abs(math.sin(theta)), abs=1e-12)
 
 
 class TestGrouping:
     def test_six_instruments(self):
         for theta in (0.0, 0.4, -2.2, math.pi):
-            assert len(group_for_sampling(decompose_vrzz(theta))) == 6
+            assert len(group_for_sampling(theta)) == 6
 
     def test_zero_angle_only_identity_weight(self):
-        groups = group_for_sampling(decompose_vrzz(0.0))
+        groups = group_for_sampling(0.0)
         assert groups[0].kind == FAMILY_II and groups[0].weight == 1.0
         assert all(g.weight == 0.0 for g in groups[1:])
 
     def test_kinds_and_rotations(self):
-        groups = group_for_sampling(decompose_vrzz(0.787))
+        groups = group_for_sampling(0.787)
         kinds = [(g.kind, g.rz_angle) for g in groups]
         assert kinds == [(FAMILY_II, None), (FAMILY_ZZ, None),
                          (KIND_MEAS_ROT, -math.pi / 2), (KIND_MEAS_ROT, math.pi / 2),
@@ -242,7 +240,7 @@ class TestGrouping:
 
     def test_signed_gates_come_from_the_term_table(self):
         # the terms whose projector sign is +1, each projector pair one signed measurement
-        options = group_for_sampling(decompose_vrzz(0.787))
+        options = group_for_sampling(0.787)
         half = math.pi / 2
         assert [(o.term.family, o.term.alpha_a, o.term.alpha_b) for o in options] == [
             (FAMILY_II, None, None), (FAMILY_ZZ, None, None),
@@ -259,21 +257,11 @@ class TestGrouping:
         assert [o.weight for o in options] == [
             o.term.coefficient * scale for o, scale in zip(options, (1.0, 1.0, 8.0, 8.0, 8.0, 8.0))]
 
-    def test_malformed_lists_rejected(self):
-        terms = decompose_vrzz(0.7)
-        with pytest.raises(ValueError):
-            group_for_sampling(terms[:9])
-        with pytest.raises(ValueError):
-            group_for_sampling(list(reversed(terms)))
-        broken = [QpdTerm(0.5, FAMILY_II)] + terms[1:]
-        with pytest.raises(ValueError):
-            group_for_sampling(broken)
-
     def test_grouped_channel_is_exact(self):
         # weight-summed signed instruments reproduce the channel on density matrices
         rng = np.random.default_rng(22)
         theta = 0.787
-        groups = group_for_sampling(decompose_vrzz(theta))
+        groups = group_for_sampling(theta)
         rho = oracles.random_density(2, rng)
         total = np.zeros((4, 4), dtype=complex)
         for g in groups:
@@ -294,7 +282,7 @@ class TestGrouping:
         exact = expectation(exact_rho, zz)
         shots = 100_000
         est, var = 0.0, 0.0
-        for k, g in enumerate(group_for_sampling(decompose_vrzz(theta))):
+        for k, g in enumerate(group_for_sampling(theta)):
             frag = base.with_inserted(len(base.gates), g.realize(0, 1, 0)[0])
             out = sample_shots(frag, shots, seed=100 + k)
             vals = out.sign * (1.0 - 2.0 * out.bits[:, 0]) * (1.0 - 2.0 * out.bits[:, 1])
@@ -513,18 +501,43 @@ class TestCollapsedExact:
 
     @pytest.mark.parametrize("steps", [1, 2, 3])
     def test_one_density_run_per_segment(self, steps, monkeypatch):
-        import vtqg.qpd as qpd
+        # the segments and the cut channels between them are one program, run by one loop
         calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return apply_gates_density(*args, **kwargs)
-
-        monkeypatch.setattr(qpd, "apply_gates_density", counting)
+        real = qpd._evolve
+        monkeypatch.setattr(qpd, "_evolve", lambda *a: calls.append(1) or real(*a))
         build = build_trotter_circuit(TfimParams(4, 0.786, 0.787, 0.5, steps), "vtqg")
         _, count = run_enumerated_exact(build.circuit, build.cuts, bloch_observables(4), NoiseModel())
         assert count == 10**steps
-        assert len(calls) == steps + 1
+        assert len(calls) == 1
+
+
+class TestFeedbackAcrossCuts:
+    """A cut runs in the same branch loop as the gates, so feedback after it reads bits measured before it."""
+
+    def test_identity_cut_keeps_the_measured_bit(self):
+        before = (h(0), measure_z(0, 0), rx(0.3, 2))
+        after = (classically_controlled(x(1), 0),)
+        circuit = Circuit(3, 1, before + after)
+        z1 = [PauliObservable.single(3, 1, "Z")]
+        (value,), _ = run_enumerated_exact(circuit, [CutSite(len(before), 1, 2, 0.0)], z1)
+        uncut = expectation(run_density(circuit), z1[0])
+        assert uncut == pytest.approx(0.0, abs=1e-12)
+        assert abs(value - uncut) < 1e-12
+
+    def test_noisy_cut_between_measurement_and_feedback(self):
+        before = (h(0), measure_z(0, 0), rx(1.1, 1), rx(0.4, 2))
+        after = (classically_controlled(x(2), 0),)
+        circuit = Circuit(3, 1, before + after)
+        cut = CutSite(len(before), 1, 2, 0.7)
+        noise = NoiseModel(p1=0.01, p2=0.0, reset_error=0.02)  # p2 = 0: the reinstated RZZ is noiseless
+        obs = bloch_observables(3)
+        reinstated = Circuit(3, 1, before + (rzz(-cut.theta, 1, 2),) + after)
+        expected = np.array([expectation(run_density(reinstated, noise), o) for o in obs])
+        values, _ = run_enumerated_exact(circuit, [cut], obs, noise)
+        summed = sum(term.coefficient * np.array(evaluate_term_exact(circuit, cut, term, obs, noise))
+                     for term in decompose_vrzz(cut.theta))
+        assert np.max(np.abs(np.array(values) - expected)) < 1e-12
+        assert np.max(np.abs(summed - expected)) < 1e-12
 
 
 def cut_program(build):
@@ -583,8 +596,8 @@ class TestLightCones:
     @pytest.mark.parametrize("n", [8, 16, 64])
     def test_distinct_cones_run_once(self, n, monkeypatch):
         runs = []
-        real = qpd._run_program
-        monkeypatch.setattr(qpd, "_run_program", lambda *a: runs.append(1) or real(*a))
+        real = qpd._evolve
+        monkeypatch.setattr(qpd, "_evolve", lambda *a: runs.append(1) or real(*a))
         noise = NoiseModel()
         obs = bloch_observables(n)
         configs = [(1, "routed_original", 4), (1, "vtqg", 4), (1, "vtqg_pet", 4)]
@@ -598,7 +611,7 @@ class TestLightCones:
             assert len(runs) == len(set(programs)) == distinct, (variant, steps)
             alone = [0.0] * len(obs)
             for (support, indices, width, _), (_, program) in zip(cones, programs):
-                rho = real(width, list(program), noise)
+                rho = real(DensityMatrix.zero(width), list(program), noise)
                 for i in indices:
                     alone[i] = expectation(rho, PauliObservable.single(width, 0, "XYZ"[i // n]))
             assert values == alone, (variant, steps)

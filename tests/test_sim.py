@@ -23,7 +23,7 @@ from vtqg.circuit import (
 )
 from vtqg.errors import InvalidCircuitError, ResourceLimitError, StatevectorModeError
 from vtqg import sim
-from vtqg.noise import NoiseModel
+from vtqg.noise import NoiseModel, depolarize
 from vtqg.sim import (
     _BLOCK_AMPLITUDES,
     _Branch,
@@ -34,7 +34,6 @@ from vtqg.sim import (
     Shots,
     StateVector,
     apply_gates_density,
-    depolarize_tensor,
     expectation,
     expectations,
     run_density,
@@ -261,6 +260,14 @@ class TestExpectation:
                 assert np.max(np.abs(np.array(values) - expected)) < 1e-12
                 assert values == [expectation(state, o) for o in obs]  # one call and one at a time agree bit for bit
 
+    def test_statevector_support_past_the_density_cap_raises(self):
+        # the support's marginal is an 11-qubit density matrix; it is refused before it is built
+        rng = np.random.default_rng(31)
+        psi = rng.normal(size=2**11) + 1j * rng.normal(size=2**11)
+        psi /= np.linalg.norm(psi)
+        with pytest.raises(ResourceLimitError, match=r"qubits \[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10\] spans 11"):
+            expectation(StateVector(11, psi), PauliObservable((("Z" * 11, 1.0),)))
+
 
 def pauli_on(n, qubit, mat):
     out = np.eye(1)
@@ -286,7 +293,7 @@ class TestDepolarizeKernel:
         p = 0.3
         textbook = (1 - p) * rho + p * twirl / 4 ** len(qubits)
         before = rho.copy()
-        out = depolarize_tensor(rho.reshape([2] * 6), qubits, p, 3).reshape(8, 8)
+        out = depolarize(DensityMatrix(3, rho), qubits, p).mat
         assert np.max(np.abs(out - textbook)) < 1e-15
         assert np.array_equal(rho, before)
 
