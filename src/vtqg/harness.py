@@ -131,8 +131,9 @@ def _stream_seed(seed: int, variant: int, fragment: int, basis: int) -> int:
     The indices fill disjoint bit fields of the low 64-bit word and the seed
     the words above it, which is injective while the fragment index is below
     2^32 (the builders cap fragments at 10^4).  The sampler mixes every word
-    into its stream keys, but a zero word hashes to zero, so seed h * 2^64
-    would share the streams of seed h: bit 63 keeps the low word nonzero.
+    into its stream keys.  Bit 63 keeps the low word nonzero; the sampler
+    tells seed h * 2^64 from h without it, but it stays because every stream
+    key, and so every sampled CSV bit, depends on it.
     """
     return (seed << 64) | (1 << 63) | (variant << 48) | (fragment << 16) | basis
 

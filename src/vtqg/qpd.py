@@ -31,6 +31,7 @@ each observable's wires (see the light-cone section).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -130,12 +131,14 @@ def decompose_vrzz(theta: float) -> list[QpdTerm]:
     return terms
 
 
+@functools.lru_cache(maxsize=256)
 def _cut_superop(weighted_terms) -> np.ndarray:
-    """The 16 x 16 superoperator of rho -> sum_k w_k A_k rho A_k^dag over (w_k, term_k) pairs.
+    """The 16 x 16 superoperator of rho -> sum_k w_k A_k rho A_k^dag over a tuple of (w_k, term_k) pairs.
 
     Each A_k = diag(d_a) (x) diag(d_b) is Z-diagonal, so the sum scales entry
     rho[(i_a, i_b), (j_a, j_b)] by one factor, sum_k w_k d_k[i_a, i_b] conj(d_k[j_a, j_b]):
-    the superoperator is the diagonal of those 16 factors.
+    the superoperator is the diagonal of those 16 factors.  The result is
+    cached and shared, so no caller may write to it.
     """
     factor = np.zeros(16, dtype=complex)  # index (i_a, i_b, j_a, j_b)
     for weight, term in weighted_terms:

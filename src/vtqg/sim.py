@@ -11,8 +11,10 @@ whole pipeline linear in the state.  `expectations` is the one reader of
 observables, for both kinds of state: it reads every Pauli string on the
 marginal of its support, taken once per support.
 
-Every density operation is one 4^k x 4^k superoperator on the (row, column)
-axis pairs of its k qubits, applied by one kernel, `_apply_superop`: a noisy
+Every dense operator, in every engine, is a 2^k x 2^k matrix on k axes of a
+state tensor, applied by one kernel, `_apply_matrix`.  A density operation
+is one 4^k x 4^k superoperator on its k qubits' row axes, then their column
+axes (`_apply_superop` maps the qubits to those axes): a noisy
 gate is D_p (U (x) U*), D_p its depolarizing map; a measurement outcome is
 its projector map, then D_p; a reset is rho -> |0><0| Tr rho, then D_p; a
 classically controlled gate is its inner gate's map, on the branches whose
@@ -23,8 +25,8 @@ measured before it.  `DensityMatrix.zero` checks the density cap.
 
 Shot sampling advances a block of shots together.  The block is one state
 tensor with one column per distinct history as its trailing axis,
-[2]*n + [columns], plus a map from each shot to its column, so the row
-kernels below apply to every history at once.  All shots start in one
+[2]*n + [columns], plus a map from each shot to its column, so one gate's
+operator acts on every history at once.  All shots start in one
 column; a column splits only where its shots diverge (the Pauli a noise
 event drew, a measurement or reset outcome), so a block never holds more
 columns than shots.  `sample_fragments` runs the shots of every fragment
@@ -89,15 +91,6 @@ def _rx_matrix(a: float) -> np.ndarray:
     return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
 
 
-def _rz_matrix(a: float) -> np.ndarray:
-    return np.array([[np.exp(-1j * a / 2), 0], [0, np.exp(1j * a / 2)]], dtype=complex)
-
-
-def _rzz_matrix(a: float) -> np.ndarray:
-    p, m = np.exp(-1j * a / 2), np.exp(1j * a / 2)
-    return np.diag([p, m, m, p]).astype(complex)
-
-
 def _rzx_matrix(a: float) -> np.ndarray:
     out = np.zeros((4, 4), dtype=complex)
     out[:2, :2] = _rx_matrix(a)
@@ -107,39 +100,6 @@ def _rzx_matrix(a: float) -> np.ndarray:
 
 _CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 _SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
-
-
-def gate_matrix(g: Gate) -> np.ndarray:
-    """Dense 2x2 or 4x4 matrix of a unitary gate."""
-    if g.kind in _MAT_1Q:
-        return _MAT_1Q[g.kind]
-    if g.kind == GateKind.RX:
-        return _rx_matrix(g.angle)
-    if g.kind == GateKind.RZ:
-        return _rz_matrix(g.angle)
-    if g.kind == GateKind.RZZ:
-        return _rzz_matrix(g.angle)
-    if g.kind == GateKind.RZX:
-        return _rzx_matrix(g.angle)
-    if g.kind == GateKind.CNOT:
-        return _CNOT
-    if g.kind == GateKind.SWAP:
-        return _SWAP
-    raise ValueError(f"{g.kind.value} has no unitary matrix")
-
-
-# --- tensor kernels -------------------------------------------------------
-
-
-def _apply_1q(tensor: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
-    out = np.tensordot(mat, tensor, axes=([1], [axis]))
-    return np.moveaxis(out, 0, axis)
-
-
-def _apply_2q(tensor: np.ndarray, mat4: np.ndarray, ax_a: int, ax_b: int) -> np.ndarray:
-    u = mat4.reshape(2, 2, 2, 2)
-    out = np.tensordot(u, tensor, axes=([2, 3], [ax_a, ax_b]))
-    return np.moveaxis(out, [0, 1], [ax_a, ax_b])
 
 
 def _gate_diagonal(g: Gate) -> np.ndarray | None:
@@ -152,6 +112,43 @@ def _gate_diagonal(g: Gate) -> np.ndarray | None:
     return None
 
 
+def gate_matrix(g: Gate) -> np.ndarray:
+    """Dense 2x2 or 4x4 matrix of a unitary gate."""
+    if g.kind in _MAT_1Q:
+        return _MAT_1Q[g.kind]
+    if g.kind == GateKind.RX:
+        return _rx_matrix(g.angle)
+    if g.kind in (GateKind.RZ, GateKind.RZZ):
+        return np.diag(_gate_diagonal(g).reshape(-1))
+    if g.kind == GateKind.RZX:
+        return _rzx_matrix(g.angle)
+    if g.kind == GateKind.CNOT:
+        return _CNOT
+    if g.kind == GateKind.SWAP:
+        return _SWAP
+    raise ValueError(f"{g.kind.value} has no unitary matrix")
+
+
+# --- tensor kernel ----------------------------------------------------------
+
+
+def _apply_matrix(tensor: np.ndarray, mat: np.ndarray, axes) -> np.ndarray:
+    """A 2^k x 2^k matrix on k length-2 axes of a tensor, indexed by their bits in the order `axes` lists them.
+
+    Consecutive ascending axes with left <= right view the tensor as (left, 2^k, right) for one
+    stacked matmul, which keeps it C-contiguous.  Otherwise (a stack of many tiny products, or any
+    other axes) the axes move to the front, the tensor takes one matmul, and they move back.
+    """
+    k, first = len(axes), axes[0]
+    left = math.prod(tensor.shape[:first])
+    right = tensor.size // (left * len(mat))
+    if left <= right and list(axes) == list(range(first, first + k)):
+        return np.matmul(mat, tensor.reshape(left, len(mat), right)).reshape(tensor.shape)
+    front = np.moveaxis(tensor, axes, range(k))
+    out = mat @ front.reshape(len(mat), -1)
+    return np.moveaxis(out.reshape(front.shape), range(k), axes)
+
+
 # --- density kernel ---------------------------------------------------------
 
 _PROJECT = (np.diag([1.0, 0.0, 0.0, 0.0]), np.diag([0.0, 0.0, 0.0, 1.0]))  # rho -> P_o rho P_o
@@ -159,16 +156,8 @@ _RESET = np.array([[1.0, 0.0, 0.0, 1.0], [0.0] * 4, [0.0] * 4, [0.0] * 4])  # rh
 
 
 def _apply_superop(rho_t: np.ndarray, superop: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
-    """rho' = S rho on the (row, column) axis pairs of `qubits`: the density engine's one kernel.
-
-    S is 4^k x 4^k, indexed by the qubits' row bits, then their column bits,
-    in the order `qubits` lists them.  Those axes move to the front, the
-    state takes one matmul with S, and the axes move back.  Returns a new array.
-    """
-    axes = [*qubits, *(n + q for q in qubits)]
-    front = np.moveaxis(rho_t, axes, range(len(axes)))
-    out = superop @ front.reshape(len(superop), -1)
-    return np.moveaxis(out.reshape(front.shape), range(len(axes)), axes)
+    """rho' = S rho, S 4^k x 4^k indexed by the row bits, then the column bits, of `qubits` in their order."""
+    return _apply_matrix(rho_t, superop, [*qubits, *(n + q for q in qubits)])
 
 
 @functools.lru_cache(maxsize=256)
@@ -454,7 +443,10 @@ def _mix64(z: np.ndarray) -> np.ndarray:
 
 
 def _seed_keys(seeds: list[int]) -> np.ndarray:
-    """Each seed's part of its shots' stream keys: every 64-bit word of the seed mixed in, low word first."""
+    """Each seed's part of its shots' stream keys: every 64-bit word of the seed mixed in, low word first.
+
+    The mix fixes zero, so a zero key becomes _GOLDEN before each later word: seed h * 2^64 must not share h's keys.
+    """
     words = []
     for seed in seeds:
         words.append([seed & _MASK64])
@@ -464,7 +456,10 @@ def _seed_keys(seeds: list[int]) -> np.ndarray:
     keys = np.zeros(len(seeds), dtype=np.uint64)
     for t in range(max(map(len, words))):
         live = [i for i, w in enumerate(words) if len(w) > t]
-        keys[live] = _mix64(keys[live] ^ np.array([words[i][t] for i in live], dtype=np.uint64))
+        key = keys[live]
+        if t:
+            key[key == 0] = _GOLDEN
+        keys[live] = _mix64(key ^ np.array([words[i][t] for i in live], dtype=np.uint64))
     return keys
 
 
@@ -474,21 +469,6 @@ def _uniforms(keys: np.ndarray, draws) -> np.ndarray:
     z = _mix64(keys + steps)
     z >>= np.uint64(11)
     return z * 2.0**-53
-
-
-def _apply_rows(psi: np.ndarray, mat: np.ndarray, q: int) -> np.ndarray:
-    """A 2^k x 2^k matrix on qubits q..q+k-1 of a block [2]*n + [shots].
-
-    The block is viewed as (left, 2^k, right) and takes one stacked matmul,
-    which keeps it C-contiguous.  When left exceeds right the stack is many
-    tiny products, and one tensordot over the gate's axes is faster.
-    """
-    dim = mat.shape[0]
-    left = 1 << q
-    right = psi.size // (left * dim)
-    if left > right:
-        return _apply_1q(psi, mat, q) if dim == 2 else _apply_2q(psi, mat, q, q + 1)
-    return np.matmul(mat, psi.reshape(left, dim, right)).reshape(psi.shape)
 
 
 def _gate_kernel(g: Gate, n: int):
@@ -504,16 +484,10 @@ def _gate_kernel(g: Gate, n: int):
             shape[q] = 2
         diag = diag.reshape(shape)
         return lambda psi: psi * diag
-    mat = gate_matrix(g)
-    if len(g.qubits) == 1:
-        q = g.qubits[0]
-        return lambda psi: _apply_rows(psi, mat, q)
-    a, b = g.qubits
-    if a == b + 1:  # the same gate with its qubits listed in ascending order
-        mat, a, b = mat.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4), b, a
-    if b == a + 1:
-        return lambda psi: _apply_rows(psi, mat, a)
-    return lambda psi: _apply_2q(psi, mat, a, b)
+    mat, qubits = gate_matrix(g), g.qubits
+    if len(qubits) == 2 and qubits[0] == qubits[1] + 1:  # the same gate on ascending qubits, the fast path
+        mat, qubits = mat.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4), qubits[::-1]
+    return lambda psi: _apply_matrix(psi, mat, qubits)
 
 
 def _shot_kernels(circuit: Circuit) -> list:
@@ -821,7 +795,7 @@ def _sample_block(program: _Program, kernels, strengths, keys: np.ndarray, run: 
         phi = np.take(psi, used, axis=-1)
         for q, ch in enumerate(basis):
             if _BASIS_ROT[ch] is not None:
-                phi = _apply_rows(phi, _BASIS_ROT[ch], q)
+                phi = _apply_matrix(phi, _BASIS_ROT[ch], (q,))
         cum = np.cumsum((phi.real**2 + phi.imag**2).reshape(-1, len(used)), axis=0)
         target = u_index[rows] * cum[-1, pos]
         # Each column of cum is non-decreasing, so its entries <= target are counted in two

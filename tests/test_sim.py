@@ -276,6 +276,35 @@ def pauli_on(n, qubit, mat):
     return out
 
 
+class TestApplyMatrix:
+    """The one kernel against plain kron embeddings of the same matrix."""
+
+    # (0,) and (1, 2) take the (left, 2^k, right) view; (3,), (2, 3) (left > right) and the other pairs move axes
+    @pytest.mark.parametrize("axes, columns", [((0,), 2), ((3,), 2), ((1, 2), 3), ((2, 3), 1), ((2, 1), 3),
+                                               ((0, 3), 2), ((3, 0), 1)])
+    def test_matches_the_kron_embedding_on_a_block(self, axes, columns):
+        n, k = 4, len(axes)
+        rng = np.random.default_rng(sum(axes) + 10 * columns)
+        mat = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
+        block = rng.normal(size=[2] * n + [columns]) + 1j * rng.normal(size=[2] * n + [columns])
+        before = block.copy()
+        dense = oracles.kron_at(mat, axes[0], n) if k == 1 else oracles.kron_two(mat, *axes, n)
+        out = sim._apply_matrix(block, mat, axes)
+        assert out.shape == block.shape
+        assert np.max(np.abs(out.reshape(2**n, columns) - dense @ block.reshape(2**n, columns))) < 1e-13
+        assert np.array_equal(block, before)
+
+    @pytest.mark.parametrize("n, qubits", [(1, (0,)), (2, (0, 1)), (3, (1,)), (3, (0, 2)), (3, (2, 0))])
+    def test_superop_conjugates_rows_and_columns(self, n, qubits):
+        k = len(qubits)
+        rng = np.random.default_rng(7 * n + sum(qubits))
+        u = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
+        rho = oracles.random_density(n, rng)
+        dense = oracles.kron_at(u, qubits[0], n) if k == 1 else oracles.kron_two(u, *qubits, n)
+        out = sim._apply_superop(rho.reshape([2] * (2 * n)), np.kron(u, u.conj()), qubits, n)
+        assert np.max(np.abs(out.reshape(2**n, 2**n) - dense @ rho @ dense.conj().T)) < 1e-13
+
+
 class TestDepolarizeKernel:
     @pytest.mark.parametrize("qubits", [(1,), (0, 2), (2, 0)])
     def test_matches_the_textbook_channel(self, qubits):
@@ -328,6 +357,12 @@ class TestSampling:
         b = sample_shots(c, 300, seed=9)
         assert same_shots(a, b)
         assert not same_shots(a, sample_shots(c, 300, seed=10))
+
+    def test_a_zero_low_seed_word_does_not_alias_the_shorter_seed(self):
+        seeds = [1, 1 << 64, 5, 5 << 64, 5 << 128, 0, 1 << 63]
+        assert len(np.unique(sim._seed_keys(seeds))) == len(seeds)
+        c = Circuit(1, 0, (h(0),))
+        assert not same_shots(sample_shots(c, 64, seed=1 << 64), sample_shots(c, 64, seed=1))
 
     def test_shot_prefix_stable_in_n_shots(self):
         c = Circuit(1, 0, (h(0),))
