@@ -37,6 +37,7 @@ STRATEGIES = ("grouped", "enumerated")
 
 CSV_COLUMNS = ("variant", "n_qubits", "repetition", "mag", "sx", "sy", "sz",
                "ideal", "fragments", "two_qubit_gates", "wall_ms")
+_COLUMN_TYPES = dict(zip(CSV_COLUMNS, (str, int, int, float, float, float, float, float, int, int, float)))
 
 
 def default_params() -> TfimParams:
@@ -107,7 +108,10 @@ class ExperimentConfig:
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+            obj = json.load(fh)
+        if not isinstance(obj, dict):
+            raise ValueError(f"{path}: a config must be a JSON object, got {type(obj).__name__}")
+        return cls.from_dict(obj)
 
 
 @dataclass(frozen=True)
@@ -239,34 +243,39 @@ def emit_results(records: list[ResultRecord], fmt: str, path, stable_timing: boo
         raise OSError(f"cannot write results to {path}: {exc}") from exc
 
 
+def _cell(path, row: int, column: str, value, kind: type, text: bool):
+    """One results cell as `kind`: CSV text that `kind` parses, or a JSON value of that kind (an int also
+    passes as a float); never a bool."""
+    allowed = str if text else (int, float) if kind is float else kind
+    if isinstance(value, allowed) and not isinstance(value, bool):
+        try:
+            return kind(value)
+        except (ValueError, OverflowError):
+            pass
+    raise ValueError(f"{path}: row {row}, column {column!r}: expected {kind.__name__}, got {value!r}")
+
+
 def read_results(path) -> list[ResultRecord]:
-    """Parse a results file previously written by emit_results (either format)."""
+    """Parse a results file previously written by emit_results (either format).
+
+    A malformed cell raises ValueError naming the path, its row (counting records from 1) and its column.
+    """
     with open(path) as fh:
         text = fh.read()
-    if text.lstrip().startswith(("[", "{")):
+    is_json = text.lstrip().startswith(("[", "{"))
+    if is_json:
         rows = json.loads(text)
         if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
             raise ValueError(f"{path}: JSON results must be a list of objects")
     else:
         rows = list(csv.DictReader(text.splitlines()))
     records = []
-    for row in rows:
+    for i, row in enumerate(rows, 1):
         missing = [c for c in CSV_COLUMNS if c not in row]
         if missing:
             raise ValueError(f"{path}: results are missing columns {missing}")
-        records.append(ResultRecord(
-            variant=str(row["variant"]),
-            n_qubits=int(row["n_qubits"]),
-            repetition=int(row["repetition"]),
-            mag=float(row["mag"]),
-            sx=float(row["sx"]),
-            sy=float(row["sy"]),
-            sz=float(row["sz"]),
-            ideal=float(row["ideal"]),
-            fragments=int(row["fragments"]),
-            two_qubit_gates=int(row["two_qubit_gates"]),
-            wall_ms=float(row["wall_ms"]),
-        ))
+        records.append(ResultRecord(**{c: _cell(path, i, c, row[c], kind, not is_json)
+                                       for c, kind in _COLUMN_TYPES.items()}))
     return records
 
 

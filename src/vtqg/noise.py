@@ -70,6 +70,8 @@ class NoiseModel:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "NoiseModel":
+        if not isinstance(obj, dict):
+            raise ValueError(f"a noise model must be a JSON object, got {type(obj).__name__}")
         known = {"p1", "p2", "pet_scaling", "reset_error", "readout_flip"}
         unknown = set(obj) - known
         if unknown:

@@ -27,24 +27,27 @@ Shot sampling advances a block of shots together.  The block is one state
 tensor with one column per distinct history as its trailing axis,
 [2]*n + [columns], plus a map from each shot to its column, so one gate's
 operator acts on every history at once.  All shots start in one
-column; a column splits only where its shots diverge (the Pauli a noise
-event drew, a measurement or reset outcome), so a block never holds more
-columns than shots.  `sample_fragments` runs the shots of every fragment
-of a cut circuit, each in several (seed, basis) pairs, in one pass: they
-share columns through the gates all fragments have in common, split at each
-cut by the gates their fragments insert there (each inserted sequence acts
-only on its own columns, the shared gates after the cut on every column at
-once), and split last by basis, just before the basis rotations.
+column; a column splits, in one routine, only where its shots diverge (a
+cut's label, the Pauli a noise event drew, a measurement or reset outcome),
+so a block never holds more columns than shots.  `sample_fragments` runs
+the shots of every fragment of a cut circuit, each in several (seed, basis)
+pairs, in one pass: they share columns through the gates all fragments have
+in common, split at each cut by the label of the gates their fragments
+insert there, which each column keeps in a cut-label register, and split
+last by basis, just before the basis rotations.  An inserted sequence acts
+on the columns whose label matches, as a classically controlled gate acts on
+those whose bit reads 1, and the shared gates after the cut on every column.
 `sample_shots` is its one-fragment, one-basis case.  Every random
 number is a counter-based uniform u(seed, shot, draw), output `draw` of a
 SplitMix64 stream whose state starts at a hash of (seed, shot), and each gate
 owns fixed draw slots; in a fragment, the slots of the fragment's own gate
-index.  A shot's outcome therefore depends only on (circuit, seed, shot
-index): a (circuit, seed, n_shots) triple reproduces bit-identical outcomes
-on any platform, a shorter run is a prefix of a longer one, and neither the
-split into blocks nor sharing a pass with other fragments changes a stream
-or a shot.  These streams replaced one PCG64 SeedSequence stream per shot,
-so sampled bits differ from that earlier sampler.
+index, which one table gives for every step and fragment.  A shot's
+outcome therefore depends only on (circuit, seed, shot index): a (circuit,
+seed, n_shots) triple reproduces bit-identical outcomes on any platform, a
+shorter run is a prefix of a longer one, and neither the split into blocks
+nor sharing a pass with other fragments changes a stream or a shot.  These
+streams replaced one PCG64 SeedSequence stream per shot, so sampled bits
+differ from that earlier sampler.
 
 A block draws the uniforms it reads as a table [shots, draws] from the same
 streams and slots: measurement outcomes and noise events up front, in chunks
@@ -137,16 +140,18 @@ def _apply_matrix(tensor: np.ndarray, mat: np.ndarray, axes) -> np.ndarray:
 
     Consecutive ascending axes with left <= right view the tensor as (left, 2^k, right) for one
     stacked matmul, which keeps it C-contiguous.  Otherwise (a stack of many tiny products, or any
-    other axes) the axes move to the front, the tensor takes one matmul, and they move back.
+    other axes) a transpose puts the axes in front, the tensor takes one matmul, and the inverse
+    transpose puts them back.
     """
     k, first = len(axes), axes[0]
     left = math.prod(tensor.shape[:first])
     right = tensor.size // (left * len(mat))
     if left <= right and list(axes) == list(range(first, first + k)):
         return np.matmul(mat, tensor.reshape(left, len(mat), right)).reshape(tensor.shape)
-    front = np.moveaxis(tensor, axes, range(k))
+    order = [*axes, *(a for a in range(tensor.ndim) if a not in axes)]
+    front = tensor.transpose(order)
     out = mat @ front.reshape(len(mat), -1)
-    return np.moveaxis(out.reshape(front.shape), range(k), axes)
+    return out.reshape(front.shape).transpose(np.argsort(order))
 
 
 # --- density kernel ---------------------------------------------------------
@@ -428,8 +433,6 @@ _SLOT_INDEX, _SLOT_FLIP = 0, 1                     # terminal: basis state, then
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-# Added to a stream key, moves every draw of the stream on by one gate's slots.
-_GATE_DRAWS = np.uint64((_DRAWS_PER_GATE * 0x9E3779B97F4A7C15) & _MASK64)
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -463,10 +466,9 @@ def _seed_keys(seeds: list[int]) -> np.ndarray:
     return keys
 
 
-def _uniforms(keys: np.ndarray, draws) -> np.ndarray:
-    """u(seed, shot, draw) in [0, 1): output `draw` of a SplitMix64 stream started at the shot key."""
-    steps = (np.array(draws, dtype=np.uint64, ndmin=1) + np.uint64(1)) * _GOLDEN
-    z = _mix64(keys + steps)
+def _uniforms(keys: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """u(seed, shot, draw) in [0, 1): output `draw` (integers) of a SplitMix64 stream started at the shot key."""
+    z = _mix64(keys + (draws.astype(np.uint64) + np.uint64(1)) * _GOLDEN)
     z >>= np.uint64(11)
     return z * 2.0**-53
 
@@ -504,14 +506,15 @@ def _shot_kernels(circuit: Circuit) -> list:
 _PAULI_LABELS = 16  # labels of a noise split: the Pauli code of a two-qubit event
 
 
-def _regroup(col: np.ndarray, moved: np.ndarray, label: np.ndarray, span: int):
+def _split(col: np.ndarray, moved: np.ndarray, label: np.ndarray, span: int, psi: np.ndarray, *per_column):
     """Move shots `moved` to one new column per distinct (column, label) pair; labels lie in [0, span).
 
-    Columns left with no shot are dropped, so every column holds a shot and
-    there are never more columns than shots.  Returns (col, parent, labels):
-    each shot's new column, for each column the column it copies, and the
-    label of each new column.  The kept columns come first and the new ones
-    last, so the new columns are the last len(labels).
+    Every divergence of a block's shots (a cut's label, a measurement or reset outcome, a noise
+    event's Pauli) splits its columns here.  Columns left with no shot are dropped, so there are
+    never more columns than shots.  The kept columns come first and the new ones last.  Returns
+    (col, kept, labels, psi, *per_column): each shot's new column, the number of kept columns, each
+    new column's label, and the state [2]*n + [columns] and each per-column array (columns first),
+    every column a copy of the one it came from.
     """
     pairs, inverse = np.unique(col[moved] * span + label, return_inverse=True)
     remaining = np.bincount(col)
@@ -521,7 +524,8 @@ def _regroup(col: np.ndarray, moved: np.ndarray, label: np.ndarray, span: int):
     remap[kept] = np.arange(len(kept))
     col = remap[col]
     col[moved] = len(kept) + inverse
-    return col, np.concatenate([kept, pairs // span]), pairs % span
+    parent = np.concatenate([kept, pairs // span])
+    return (col, len(kept), pairs % span, np.take(psi, parent, axis=-1), *(a[parent] for a in per_column))
 
 
 def _one_probability(psi: np.ndarray, q: int) -> np.ndarray:
@@ -583,23 +587,20 @@ class FragmentRun(NamedTuple):
 class _Program(NamedTuple):
     """The steps of a pass: the shared gates once, then at each cut each distinct inserted sequence once.
 
-    Step i runs gate i of `circuit`.  In run r it is gate index[i] +
-    offsets[segment[i], r] of the fragment, where offsets[s, r] counts the
-    gates run r inserted at the cuts before segment s, so it reads that
-    gate's draw slots.  group[i] is None for a step every shot takes, or
-    (cut, label) for one that only shots whose run has labels[cut, r] ==
-    label take.  splits maps a step to the cut whose groups it starts, where
-    columns split by label.  length is the shared circuit's gate count.
+    Step i runs gate i of `circuit`.  The draw-slot table gate_index[i, r]
+    is that gate's index in run r's own fragment, whose draw slots it reads
+    there; its last row holds each fragment's length, where the terminal
+    draws start.  group[i] is None for a step every shot takes, or (cut,
+    label) for one that only shots whose run has labels[cut, r] == label
+    take.  splits maps a step to the cut whose groups it starts, where
+    columns split by label.
     """
 
     circuit: Circuit
-    index: list
-    segment: list
     group: list
     splits: dict
     labels: np.ndarray
-    offsets: np.ndarray
-    length: int
+    gate_index: np.ndarray
 
 
 def _fragment_program(runs: list[FragmentRun]) -> _Program:
@@ -626,48 +627,46 @@ def _fragment_program(runs: list[FragmentRun]) -> _Program:
         elif base != shared:
             raise ValueError("fragments differ outside their insertions")
         pieces.append(own)
-    steps, index, segment, group, splits = [], [], [], [], {}
+    steps, group, splits, gate_index = [], [], {}, []
+    inserted = np.zeros(len(runs), dtype=np.intp)  # the gates each run inserted at the cuts passed so far
 
-    def add(gates, first_index, k, tag):
+    def add(gates, first_index, tag):
         steps.extend(gates)
-        index.extend(range(first_index, first_index + len(gates)))
-        segment.extend([k] * len(gates))
         group.extend([tag] * len(gates))
+        gate_index.extend(inserted + j for j in range(first_index, first_index + len(gates)))
 
     labels = np.zeros((len(positions), len(runs)), dtype=np.intp)
     done = 0
     for k, p in enumerate(positions):
-        add(shared[done:p], done, k, None)
+        add(shared[done:p], done, None)
         distinct = {}
         for r, own in enumerate(pieces):
             labels[k, r] = distinct.setdefault(own[k], len(distinct))
         if len(distinct) > 1:
             splits[len(steps)] = k
         for piece, label in distinct.items():
-            add(piece, p, k, (k, label) if len(distinct) > 1 else None)
+            add(piece, p, (k, label) if len(distinct) > 1 else None)
+        inserted = inserted + [len(own[k]) for own in pieces]
         done = p
-    add(shared[done:], done, len(positions), None)
-    offsets = np.zeros((len(positions) + 1, len(runs)), dtype=np.intp)
-    if positions:
-        offsets[1:] = np.cumsum([[len(own[k]) for own in pieces] for k in range(len(positions))], axis=0)
+    add(shared[done:], done, None)
     circuit = first if tuple(steps) == first.gates else Circuit(first.n_qubits, first.n_clbits, tuple(steps))
-    return _Program(circuit, index, segment, group, splits, labels, offsets, len(shared))
+    return _Program(circuit, group, splits, labels, np.array([*gate_index, inserted + len(shared)]))
 
 
-def _draw_chunk(program: _Program, keys: np.ndarray, strengths, present, start: int):
+def _draw_chunk(program: _Program, keys: np.ndarray, run: np.ndarray, strengths, present, start: int):
     """The draw table [shots, draws] of the steps from `start` on, drawn before they run.
 
-    keys [segments, shots] holds each shot's stream key shifted by its
-    run's offset in each segment, and `present` the groups with a shot in
-    the block; a step of any other group draws nothing.  A measurement or
-    reset reads its outcome slot and a step of strength > 0 its event slot;
-    Pauli slots are drawn later, for the shots an event hit.  The table
-    takes steps until it would pass 2^n columns, so it is never wider than
-    the state.  Returns (table, the column of each step's outcome draw, for
-    each step whose noise event fired on some shot the indices of those
-    shots, and the first step the table does not cover).  Every event column
-    is compared with its step's strength at once, so a step that no shot's
-    noise hit costs only its unitary.
+    keys [shots] are the shots' stream keys, run [shots] their runs, and
+    `present` the groups with a shot in the block; a step of any other group
+    draws nothing.  A measurement or reset reads its outcome slot and a step
+    of strength > 0 its event slot, at the step's gate index in each shot's
+    own fragment; Pauli slots are drawn later, for the shots an event hit.
+    The table takes steps until it would pass 2^n columns, so it is never
+    wider than the state.  Returns (table, the column of each step's outcome
+    draw, for each step whose noise event fired on some shot the indices of
+    those shots, and the first step the table does not cover).  Every event
+    column is compared with its step's strength at once, so a step that no
+    shot's noise hit costs only its unitary.
     """
     gates, width = program.circuit.gates, 1 << program.circuit.n_qubits
     slots, outcome, noisy, stop = [], {}, [], start
@@ -678,20 +677,15 @@ def _draw_chunk(program: _Program, keys: np.ndarray, strengths, present, start: 
         has_noise = taken and strengths[stop] > 0.0
         if len(slots) + measured + has_noise > width:
             break
-        draw = _DRAWS_PER_GATE * program.index[stop]
         if measured:
             outcome[stop] = len(slots)
-            slots.append((program.segment[stop], draw + _SLOT_OUTCOME))
+            slots.append((stop, _SLOT_OUTCOME))
         if has_noise:
             noisy.append((stop, len(slots)))
-            slots.append((program.segment[stop], draw + _SLOT_EVENT))
+            slots.append((stop, _SLOT_EVENT))
         stop += 1
-    u = np.empty((keys.shape[1], len(slots)))
-    j = 0
-    for segment, run in itertools.groupby(slots, key=lambda slot: slot[0]):  # steps come in segment order
-        draws = [draw for _, draw in run]
-        u[:, j:j + len(draws)] = _uniforms(keys[segment][:, None], draws)
-        j += len(draws)
+    step, slot = np.array(slots, dtype=np.intp).reshape(-1, 2).T
+    u = _uniforms(keys[:, None], (_DRAWS_PER_GATE * program.gate_index[step][:, run] + slot[:, None]).T)
     hits = u[:, [column for _, column in noisy]] < [strengths[i] for i, _ in noisy]
     fired = {noisy[j][0]: np.flatnonzero(hits[:, j]) for j in np.flatnonzero(hits.any(axis=0))}
     return u, outcome, fired, stop
@@ -703,17 +697,22 @@ def _sample_block(program: _Program, kernels, strengths, keys: np.ndarray, run: 
 
     keys [shots] are the shots' stream keys, run [shots] the index of each
     shot's run and which [shots] the index of its basis in `bases`.  The
-    state is one tensor [2]*n + [columns], col[shot] names each shot's
-    column, and clbits and sign are per column.  Every shot starts in one
-    column holding |0...0>.  A column splits only where its shots diverge:
-    at a cut, by the gates their runs insert there; by the Pauli a noise
-    event drew (an all-I draw changes nothing); by the outcome of a
-    measurement or reset; and, last, by basis before the basis rotations.
-    Returns bits, clbits and sign, one row per shot.
+    state is one tensor [2]*n + [columns] and col[shot] names each shot's
+    column.  Each column carries its classical bits, its sign and a
+    cut-label register: its shots' label at each cut they have passed.
+    Every shot starts in one column holding |0...0>.  A column splits, in
+    `_split`, only where its shots diverge: at a cut, by the label of the
+    gates their runs insert there; by the Pauli a noise event drew (an all-I
+    draw changes nothing); by the outcome of a measurement or reset; and,
+    last, by basis before the basis rotations.  A step of a cut's group acts
+    on the columns whose label at that cut matches, just as a classically
+    controlled step acts on the columns whose bit reads 1; the two
+    conditions are one column mask, read through `col` for the shots it
+    covers.  A shot reads the draw slots of each step's gate index in its
+    own fragment.  Returns bits, clbits and sign, one row per shot.
     """
     circuit = program.circuit
     n, shots = circuit.n_qubits, len(keys)
-    keys = keys + program.offsets[:, run].astype(np.uint64) * _GATE_DRAWS  # [segments, shots]
     member = program.labels[:, run]  # [cuts, shots]: each shot's label at each cut
     present = {(cut, int(label)) for cut, labels in enumerate(member) for label in np.unique(labels)}
     psi = np.zeros([2] * n + [1], dtype=complex)
@@ -721,70 +720,53 @@ def _sample_block(program: _Program, kernels, strengths, keys: np.ndarray, run: 
     col = np.zeros(shots, dtype=np.intp)
     clbits = np.zeros((1, circuit.n_clbits), dtype=np.uint8)
     sign = np.ones(1, dtype=np.int8)
-    every = np.arange(shots)
+    cut_label = np.zeros((1, len(member)), dtype=np.intp)
     stop = 0
     for i, g in enumerate(circuit.gates):
         if i == stop:
-            u, outcome_at, fired, stop = _draw_chunk(program, keys, strengths, present, i)
+            u, outcome_at, fired, stop = _draw_chunk(program, keys, run, strengths, present, i)
         cut = program.splits.get(i)
         if cut is not None:  # label 0 keeps its columns; every other label moves to columns of its own
             moved = np.flatnonzero(member[cut])
             if moved.size:
-                col, parent, _ = _regroup(col, moved, member[cut, moved], int(member[cut].max()) + 1)
-                psi = np.take(psi, parent, axis=-1)
-                clbits, sign = clbits[parent], sign[parent]
-        inside = None  # the shots step i acts on, None for every shot
-        if program.group[i] is not None:
-            if program.group[i] not in present:
-                continue
-            cut, label = program.group[i]
-            inside = member[cut] == label
-            if inside.all():
-                inside = None
-        on = None  # the columns a classically controlled step fires in
+                col, kept, labels, psi, clbits, sign, cut_label = _split(
+                    col, moved, member[cut, moved], int(member[cut].max()) + 1, psi, clbits, sign, cut_label)
+                cut_label[kept:, cut] = labels
+        group = program.group[i]
+        if group is not None and group not in present:
+            continue
+        # the columns step i acts on: its group's cut label matches, and a controlled step's bit reads 1
+        act = np.ones(len(sign), dtype=bool) if group is None else cut_label[:, group[0]] == group[1]
+        if g.kind == GateKind.CLASSICALLY_CONTROLLED:
+            act &= clbits[:, g.clbit] == 1
+        hit = fired.get(i)
+        if hit is not None:
+            hit = hit[act[col[hit]]]  # before a measurement splits the columns `act` names
         if kernels[i] is None:  # a measurement or reset
             q = g.qubits[0]
             p1 = _one_probability(psi, q)
-            rows = every if inside is None else np.flatnonzero(inside)
+            rows = np.flatnonzero(act[col])
             outcome = u[rows, outcome_at[i]] < p1[col[rows]]
-            col, parent, labels = _regroup(col, rows, outcome, 2)
-            kept = len(parent) - len(labels)
-            psi = np.take(psi, parent, axis=-1)
-            psi[..., kept:] = _collapse(psi[..., kept:], q, labels == 1, p1[parent[kept:]],
-                                        g.kind == GateKind.RESET)
-            clbits, sign = clbits[parent], sign[parent]
+            col, kept, labels, psi, clbits, sign, cut_label, p1 = _split(
+                col, rows, outcome, 2, psi, clbits, sign, cut_label, p1)
+            psi[..., kept:] = _collapse(psi[..., kept:], q, labels == 1, p1[kept:], g.kind == GateKind.RESET)
             if g.clbit is not None:
                 clbits[kept:, g.clbit] = labels
             if g.signed:
                 sign[kept + np.flatnonzero(labels)] *= -1
         else:
-            active = None
-            if inside is not None:
-                active = np.zeros(len(sign), dtype=bool)
-                active[col[inside]] = True
-            if g.kind == GateKind.CLASSICALLY_CONTROLLED:
-                on = clbits[:, g.clbit] == 1
-                active = on if active is None else active & on
-            psi = kernels[i](psi) if active is None else np.where(active, kernels[i](psi), psi)
-        hit = fired.get(i)
-        if hit is not None:
-            if inside is not None:
-                hit = hit[inside[hit]]
-            if on is not None:
-                hit = hit[on[col[hit]]]
-            if hit.size:
-                k = np.arange(len(g.qubits))
-                draws = _DRAWS_PER_GATE * program.index[i] + _SLOT_PAULI + k
-                paulis = _uniforms(keys[program.segment[i], hit][:, None], draws)
-                codes = ((4.0 * paulis).astype(np.intp) << (2 * k)).sum(axis=1)
-                moved = codes != 0  # an all-I draw leaves the state as it was
-                if moved.any():
-                    col, parent, labels = _regroup(col, hit[moved], codes[moved], _PAULI_LABELS)
-                    kept = len(parent) - len(labels)
-                    psi = np.take(psi, parent, axis=-1)
-                    psi[..., kept:] = _apply_paulis(psi[..., kept:], g.qubits, labels)
-                    clbits, sign = clbits[parent], sign[parent]
-    terminal, keys = _DRAWS_PER_GATE * program.length, keys[-1]  # a run's terminal draws follow its last gate
+            psi = kernels[i](psi) if act.all() else np.where(act, kernels[i](psi), psi)
+        if hit is not None and hit.size:
+            k = np.arange(len(g.qubits))
+            draws = _DRAWS_PER_GATE * program.gate_index[i, run[hit], None] + _SLOT_PAULI + k
+            paulis = _uniforms(keys[hit, None], draws)
+            codes = ((4.0 * paulis).astype(np.intp) << (2 * k)).sum(axis=1)
+            moved = codes != 0  # an all-I draw leaves the state as it was
+            if moved.any():
+                col, kept, labels, psi, clbits, sign, cut_label = _split(
+                    col, hit[moved], codes[moved], _PAULI_LABELS, psi, clbits, sign, cut_label)
+                psi[..., kept:] = _apply_paulis(psi[..., kept:], g.qubits, labels)
+    terminal = _DRAWS_PER_GATE * program.gate_index[-1, run]  # a run's terminal draws follow its last gate
     u_index = _uniforms(keys, terminal + _SLOT_INDEX)
     index = np.empty(shots, dtype=np.intp)
     for b, basis in enumerate(bases):
@@ -807,7 +789,7 @@ def _sample_block(program: _Program, kernels, strengths, keys: np.ndarray, run: 
         index[rows] = np.minimum(found, 2**n - 1)
     bits = ((index[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
     if readout_flip > 0.0:
-        draws = terminal + _SLOT_FLIP + np.arange(n)
+        draws = terminal[:, None] + _SLOT_FLIP + np.arange(n)
         bits ^= (_uniforms(keys[:, None], draws) < readout_flip).astype(np.uint8)
     return bits, clbits[col], sign[col]
 

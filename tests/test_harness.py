@@ -103,6 +103,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="shots"):
             small_config(mode="sampling", shots=True)
 
+    @pytest.mark.parametrize("text", ["[1, 2]", '"x"', "3"])
+    def test_json_file_that_is_not_an_object_names_the_path(self, tmp_path, text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=r"config\.json: a config must be a JSON object"):
+            ExperimentConfig.from_json_file(path)
+
     def test_unknown_fields_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict({"params": default_params().__dict__, "backend": "x"})
@@ -318,6 +325,32 @@ class TestEmitAndRead:
         path = tmp_path / "odd.json"
         path.write_text(text)
         with pytest.raises(ValueError, match="odd.json"):
+            read_results(path)
+
+    @pytest.mark.parametrize("column, value", [("mag", None), ("n_qubits", 4.5), ("repetition", 1.9),
+                                               ("fragments", True), ("sx", False), ("variant", 3)])
+    def test_json_cell_of_the_wrong_type_names_path_row_and_column(self, tmp_path, column, value):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps([record().__dict__, record().__dict__ | {column: value}]))
+        with pytest.raises(ValueError, match=rf"typed\.json: row 2, column '{column}'"):
+            read_results(path)
+
+    def test_json_int_passes_as_a_float(self, tmp_path):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps([record().__dict__ | {"mag": 1, "wall_ms": 0}]))
+        (got,) = read_results(path)
+        assert got == record(mag=1.0, wall_ms=0.0) and type(got.mag) is float
+
+    @pytest.mark.parametrize("column, value", [("mag", "x"), ("n_qubits", "4.5"), ("repetition", ""),
+                                               ("wall_ms", "1,5")])
+    def test_csv_cell_that_does_not_parse_names_path_row_and_column(self, tmp_path, column, value):
+        path = tmp_path / "typed.csv"
+        emit_results([record(), record()], "csv", path)
+        header, first, second = path.read_text().splitlines()
+        cells = second.split(",")
+        cells[CSV_COLUMNS.index(column)] = f'"{value}"'
+        path.write_text("\n".join([header, first, ",".join(cells)]) + "\n")
+        with pytest.raises(ValueError, match=rf"typed\.csv: row 2, column '{column}'"):
             read_results(path)
 
     def test_bad_format(self, tmp_path):

@@ -56,6 +56,11 @@ class TestJsonRoundtrip:
         with pytest.raises(ValueError):
             NoiseModel.from_json('{"p1": 0.1, "t1_us": 100}')
 
+    @pytest.mark.parametrize("text", ['"x"', "[1]", "null"])
+    def test_json_that_is_not_an_object_rejected(self, text):
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            NoiseModel.from_json(text)
+
 
 class TestDepolarize:
     def test_zero_strength_is_identity(self):

@@ -726,6 +726,17 @@ def assert_matches_one_call_per_fragment(runs, noise):
 MERGE_NOISE = [None, NoiseModel(), NoiseModel(p2=0.3, reset_error=0.05, readout_flip=0.1)]
 
 
+def controlled_insertion_runs():
+    """Four fragments of one 3-qubit circuit whose inserted gates mix classically controlled and plain gates."""
+    shared = (h(0), measure_z(0, 0), rx(0.3, 1), rzz(0.2, 1, 2), rx(0.7, 2), cnot(1, 2))
+    inserted = [(classically_controlled(x(1), 0), rz(0.4, 2)), (rz(0.4, 1),), (),
+                (classically_controlled(rx(0.9, 2), 0),)]
+    bases = [["XZY", "ZZZ"], ["YXX", "ZYZ"]]
+    return [FragmentRun(Circuit(3, 1, shared[:3] + piece + shared[3:]), 30 + 17 * k, [3 * k + 1, 3 * k + 2],
+                        bases[k % 2], ((3, len(piece)),))
+            for k, piece in enumerate(inserted)]
+
+
 class TestSampleFragments:
     @pytest.mark.parametrize("noise", MERGE_NOISE, ids=["noiseless", "default", "heavy"])
     @pytest.mark.parametrize("strategy, steps", [("grouped", 1), ("grouped", 2), ("enumerated", 1),
@@ -746,6 +757,16 @@ class TestSampleFragments:
         runs = fragment_runs(fragments, [6] * len(fragments))
         assert all(len(run.insertions) == 2 for run in runs)
         assert_matches_one_call_per_fragment(runs, noise)
+
+    @pytest.mark.parametrize("noise", [None, NoiseModel(p1=0.2, p2=0.3, reset_error=0.1, readout_flip=0.1)],
+                             ids=["noiseless", "noisy"])
+    def test_inserted_classically_controlled_gates(self, noise):
+        # a step that is both a fragment's own and classically controlled acts on one mask of columns
+        runs = controlled_insertion_runs()
+        for run, per_basis in zip(runs, sample_fragments(runs, noise)):
+            for got, seed, basis in zip(per_basis, run.seeds, run.bases):
+                assert same_shots(got, sample_shots(run.circuit, run.n_shots, seed, basis=basis, noise=noise))
+                assert len(np.unique(got.clbits[:, 0])) == 2  # the control reads both values
 
     def test_blocks_straddling_fragments(self, monkeypatch):
         fragments, noise = trotter_fragments("grouped", 2), MERGE_NOISE[2]
