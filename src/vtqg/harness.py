@@ -27,7 +27,7 @@ from .circuit import count_gates
 from .errors import ResourceLimitError
 from .noise import NoiseModel
 from .qpd import build_enumerated_fragments, build_grouped_fragments, run_enumerated_exact
-from .sim import FragmentRun, PauliObservable, sample_fragments
+from .sim import FragmentRun, bloch_observables, sample_fragments
 from .tfim import TfimParams, TrotterBuild, build_trotter_circuit, exact_reference, magnetization
 
 RUN_VARIANTS = ("routed_original", "vtqg", "vtqg_pet")
@@ -114,7 +114,7 @@ class ExperimentConfig:
         return cls.from_dict(obj)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResultRecord:
     variant: str
     n_qubits: int
@@ -152,8 +152,7 @@ def _signed_qubit_means(shots, keep_rules) -> np.ndarray:
 
 def _execute_exact(build: TrotterBuild, noise: NoiseModel):
     n = build.circuit.n_qubits
-    obs = [PauliObservable.single(n, q, p) for p in "XYZ" for q in range(n)]
-    values, nfrag = run_enumerated_exact(build.circuit, build.cuts, obs, noise)
+    values, nfrag = run_enumerated_exact(build.circuit, build.cuts, bloch_observables(n), noise)
     # The sampler flips each terminal bit with probability f, which scales
     # every single-qubit Pauli mean by 1 - 2f.
     scale = 1.0 - 2.0 * noise.readout_flip
@@ -258,7 +257,8 @@ def _cell(path, row: int, column: str, value, kind: type, text: bool):
 def read_results(path) -> list[ResultRecord]:
     """Parse a results file previously written by emit_results (either format).
 
-    A malformed cell raises ValueError naming the path, its row (counting records from 1) and its column.
+    A malformed cell raises ValueError naming the path, its row (counting records from 1) and its column;
+    so does a row with a cell or key the columns do not name, which would otherwise be dropped unread.
     """
     with open(path) as fh:
         text = fh.read()
@@ -274,6 +274,10 @@ def read_results(path) -> list[ResultRecord]:
         missing = [c for c in CSV_COLUMNS if c not in row]
         if missing:
             raise ValueError(f"{path}: results are missing columns {missing}")
+        unknown = set(row) - set(CSV_COLUMNS)
+        if unknown:  # csv.DictReader files the cells past the header under None
+            what = f"cells past the header {row[None]}" if None in unknown else f"unknown columns {sorted(unknown)}"
+            raise ValueError(f"{path}: row {i} has {what}")
         records.append(ResultRecord(**{c: _cell(path, i, c, row[c], kind, not is_json)
                                        for c, kind in _COLUMN_TYPES.items()}))
     return records

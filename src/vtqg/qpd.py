@@ -443,31 +443,61 @@ def _relabelled(op, slots) -> tuple:
     return type(op), *op[1:], slots
 
 
-def _evaluate_cones(cones: list, observables: list[PauliObservable], noise) -> list[float]:
-    """Every observable from the density run of its support's light cone; the cap applies per cone.
+def _cone_programs(cones: list, observables: list[PauliObservable]) -> list[tuple]:
+    """[(width, ops on their slots, observable indices, their cone-local observables)] per distinct cone program.
 
     Cones with the same relabelled program share one density run: on a
     translation-symmetric ring most of them are the same computation.
+    """
+    same_program: dict[tuple, list] = {}
+    for cone in cones:
+        _, _, width, reduced = cone
+        same_program.setdefault((width, tuple(_relabelled(op, slots) for op, slots in reduced)), []).append(cone)
+    programs = []
+    for group in same_program.values():
+        _, _, width, reduced = group[0]
+        ops = [replace(op, qubits=slots) if isinstance(op, Gate) else op._replace(qubits=slots)
+               for op, slots in reduced]
+        local = tuple(PauliObservable(tuple(("".join(s[q] for q in support).ljust(width, "I"), w)
+                                            for s, w in observables[i].terms))
+                      for support, indices, _, _ in group for i in indices)
+        programs.append((width, ops, [i for _, indices, _, _ in group for i in indices], local))
+    return programs
+
+
+def _evaluate_cones(cones: list, observables: list[PauliObservable], noise, programs=None) -> list[float]:
+    """Every observable from the density run of its support's light cone; the cap applies per cone.
+
+    `programs` are the cones' `_cone_programs`, compiled here when not given.
+    Each call checks the cap and evolves each distinct program once, so no
+    value is ever reused from an earlier call.
     """
     for support, _, width, _ in cones:
         if width > DENSITY_QUBIT_CAP:
             raise ResourceLimitError(f"the light cone of qubits {list(support)} spans {width} qubits, "
                                      f"which exceeds density cap {DENSITY_QUBIT_CAP}")
-    same_program: dict[tuple, list] = {}
-    for cone in cones:
-        _, _, width, reduced = cone
-        same_program.setdefault((width, tuple(_relabelled(op, slots) for op, slots in reduced)), []).append(cone)
     values = [0.0] * len(observables)
-    for group in same_program.values():
-        _, _, width, reduced = group[0]
-        rho = _evolve(DensityMatrix.zero(width), [replace(op, qubits=slots) if isinstance(op, Gate)
-                                                  else op._replace(qubits=slots) for op, slots in reduced], noise)
-        for support, indices, _, _ in group:
-            local = [PauliObservable(tuple(("".join(s[q] for q in support).ljust(width, "I"), w)
-                                           for s, w in observables[i].terms)) for i in indices]
-            for i, value in zip(indices, expectations(rho, local)):
-                values[i] = value
+    for width, ops, indices, local in programs or _cone_programs(cones, observables):
+        for i, value in zip(indices, expectations(_evolve(DensityMatrix.zero(width), ops, noise), local)):
+            values[i] = value
     return values
+
+
+@functools.lru_cache(maxsize=128)
+def _exact_plan(circuit: Circuit, cuts: tuple, observables: tuple, noise, cap: int) -> tuple:
+    """(cut program, 10^m, light cones or None for the full run, their `_cone_programs`) of one exact evaluation.
+
+    Pure in its arguments, `cap` being the density cap the choice between the
+    full run and the cones was made under, so it is compiled once per process
+    for each key; it holds no state and no value.  The result is cached and
+    shared, so no caller may write to it.
+    """
+    cuts = _check_cuts(circuit, cuts)
+    term_lists = [decompose_vrzz(c.theta) for c in cuts]
+    program = _program(circuit, cuts, [[(t.coefficient, t) for t in ts] for ts in term_lists])
+    n = circuit.n_qubits
+    cones = _light_cones(circuit, program, observables, noise, _cost(n, program) if n <= cap else None)
+    return program, math.prod(len(ts) for ts in term_lists), cones, cones and _cone_programs(cones, observables)
 
 
 def run_enumerated_exact(circuit: Circuit, cuts, observables: list[PauliObservable],
@@ -480,19 +510,17 @@ def run_enumerated_exact(circuit: Circuit, cuts, observables: list[PauliObservab
     light cone instead, one density run per distinct cone program, when the
     cones are estimated cheaper than the full run or the circuit is past the
     density cap, which then applies to each cone.  Either way the observables
-    of one support are read from its marginal, traced out once.  Returns the
-    values and the number of term combinations the sum covers, 10^m.
+    of one support are read from its marginal, traced out once.  The program,
+    that choice and the cone programs are compiled once per process for each
+    (circuit, cuts, observables, noise, density cap) by `_exact_plan`; every
+    call evolves its densities afresh.  Returns the values and the number of
+    term combinations the sum covers, 10^m.
     """
-    cuts = _check_cuts(circuit, cuts)
-    term_lists = [decompose_vrzz(c.theta) for c in cuts]
-    program = _program(circuit, cuts, [[(t.coefficient, t) for t in ts] for ts in term_lists])
-    count = math.prod(len(ts) for ts in term_lists)
-    n = circuit.n_qubits
-    cones = _light_cones(circuit, program, observables, noise,
-                         _cost(n, program) if n <= DENSITY_QUBIT_CAP else None)
+    observables = tuple(observables)
+    program, count, cones, programs = _exact_plan(circuit, tuple(cuts), observables, noise, DENSITY_QUBIT_CAP)
     if cones is not None:
-        return _evaluate_cones(cones, observables, noise), count
-    return expectations(_evolve(DensityMatrix.zero(n), program, noise), observables), count
+        return _evaluate_cones(cones, observables, noise, programs), count
+    return expectations(_evolve(DensityMatrix.zero(circuit.n_qubits), program, noise), observables), count
 
 
 # The most cuts a fragment builder takes: m cuts make 6^m grouped or 10^m

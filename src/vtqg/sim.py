@@ -260,9 +260,9 @@ class PauliObservable:
     def n_qubits(self) -> int:
         return len(self.terms[0][0])
 
-    @property
+    @functools.cached_property
     def support(self) -> tuple[int, ...]:
-        """The qubits some term acts on with X, Y or Z, in ascending order."""
+        """The qubits some term acts on with X, Y or Z, in ascending order; computed once per object."""
         return tuple(sorted({q for s, _ in self.terms for q, ch in enumerate(s) if ch != "I"}))
 
     @classmethod
@@ -272,6 +272,12 @@ class PauliObservable:
             raise ValueError(f"need one of X, Y, Z on a qubit in [0, {n}), got {pauli!r} on {qubit!r}")
         s = "".join(pauli if q == qubit else "I" for q in range(n))
         return cls(((s, weight),))
+
+
+@functools.lru_cache(maxsize=64)
+def bloch_observables(n: int) -> tuple[PauliObservable, ...]:
+    """X on each of n qubits, then Y, then Z: one shared tuple per width, so no caller may rebuild or write it."""
+    return tuple(PauliObservable.single(n, q, p) for p in "XYZ" for q in range(n))
 
 
 # --- statevector execution --------------------------------------------------
@@ -357,9 +363,9 @@ def run_density(circuit: Circuit, noise=None) -> DensityMatrix:
 
 
 @functools.lru_cache(maxsize=256)
-def _pauli_matrix(letters: str) -> np.ndarray:
-    """Kronecker product of the letters' 2x2 matrices; cached and shared, so no caller may write to it."""
-    return functools.reduce(np.kron, (_PAULI[ch] for ch in letters), np.eye(1))
+def _pauli_stack(strings: tuple[str, ...]) -> np.ndarray:
+    """Each string's Kronecker product of letter matrices, stacked; cached and shared, so no caller may write to it."""
+    return np.stack([functools.reduce(np.kron, (_PAULI[ch] for ch in p), np.eye(1)) for p in strings])
 
 
 def expectations(state: StateVector | DensityMatrix, observables) -> list[float]:
@@ -368,7 +374,9 @@ def expectations(state: StateVector | DensityMatrix, observables) -> list[float]
     The observables are grouped by support (0, 1 or more wires), each support's
     2^k x 2^k marginal is taken once, and each distinct Pauli string is read on
     it once, as Tr(P . marginal) with P the Kronecker product of the string's
-    letters on the support; a single wire's P is its letter's 2x2 matrix.  A
+    letters on the support; a single wire's P is its letter's 2x2 matrix.  The
+    support's strings are read together, by one einsum over their stacked P
+    (each read is the same sum, bit for bit, as a read of that string alone).  A
     density matrix's marginal is one einsum in which each wire off the support
     gives its column axis its row axis's label, so all those wires are traced
     in one call.  A statevector's is the Gram matrix of its amplitudes grouped
@@ -393,8 +401,9 @@ def expectations(state: StateVector | DensityMatrix, observables) -> list[float]
             columns = [n + q if q in support else q for q in range(n)]
             kept = [*support, *(n + q for q in support)]
             marginal = np.einsum(state.tensor(), [*range(n), *columns], kept).reshape(2**k, 2**k)
-        strings = {"".join(s[q] for q in support) for i in indices for s, _ in observables[i].terms}
-        read = {p: float(np.einsum("ij,ji->", _pauli_matrix(p), marginal).real) for p in strings}
+        strings = tuple(dict.fromkeys("".join(s[q] for q in support)
+                                      for i in indices for s, _ in observables[i].terms))
+        read = dict(zip(strings, np.einsum("pij,ji->p", _pauli_stack(strings), marginal).real.tolist()))
         for i in indices:
             values[i] = sum(w * read["".join(s[q] for q in support)] for s, w in observables[i].terms)
     return values

@@ -32,14 +32,7 @@ import numpy as np
 
 from .circuit import Circuit, CouplingMap, Layout, decompose_rzz_rzx, route_ring_closure, rx, rzz
 from .qpd import CutSite, decomposition_angle, run_enumerated_exact
-from .sim import (
-    STATEVECTOR_QUBIT_CAP,
-    DensityMatrix,
-    PauliObservable,
-    StateVector,
-    expectations,
-    run_statevector,
-)
+from .sim import STATEVECTOR_QUBIT_CAP, DensityMatrix, StateVector, bloch_observables, expectations, run_statevector
 
 VARIANTS = ("ideal", "routed_original", "vtqg", "vtqg_pet")
 
@@ -135,7 +128,7 @@ def pauli_components(state: StateVector | DensityMatrix,
     A wire's three values come from its one 2x2 marginal (see `sim.expectations`).
     """
     n = state.n_qubits
-    values = expectations(state, [PauliObservable.single(n, q, p) for p in "XYZ" for q in range(n)])
+    values = expectations(state, bloch_observables(n))
     out = [values[j * n:(j + 1) * n] for j in range(3)]
     if layout is not None:
         out = [layout.logical_values(c) for c in out]
@@ -152,6 +145,5 @@ def exact_reference(params: TfimParams) -> float:
     build = build_trotter_circuit(params, "ideal")
     if n <= STATEVECTOR_QUBIT_CAP:
         return magnetization(*pauli_components(run_statevector(build.circuit)))
-    obs = [PauliObservable.single(n, q, p) for p in "XYZ" for q in range(n)]
-    values, _ = run_enumerated_exact(build.circuit, (), obs)
+    values, _ = run_enumerated_exact(build.circuit, (), bloch_observables(n))
     return magnetization(values[:n], values[n:2 * n], values[2 * n:])

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -87,7 +88,7 @@ class TestConfig:
         sampled = dict(mode="sampling", shots=64, noise=NoiseModel())
         numpy_seed = small_config(seed=np.int64(3), **sampled)
         assert type(numpy_seed.seed) is int and json.dumps(numpy_seed.to_dict())
-        strip = lambda r: {k: v for k, v in r.__dict__.items() if k != "wall_ms"}
+        strip = lambda r: {k: v for k, v in dataclasses.asdict(r).items() if k != "wall_ms"}
         assert (list(map(strip, run_experiment(numpy_seed)))
                 == list(map(strip, run_experiment(small_config(seed=3, **sampled)))))
         with pytest.raises(ValueError):
@@ -331,13 +332,13 @@ class TestEmitAndRead:
                                                ("fragments", True), ("sx", False), ("variant", 3)])
     def test_json_cell_of_the_wrong_type_names_path_row_and_column(self, tmp_path, column, value):
         path = tmp_path / "typed.json"
-        path.write_text(json.dumps([record().__dict__, record().__dict__ | {column: value}]))
+        path.write_text(json.dumps([dataclasses.asdict(record()), dataclasses.asdict(record()) | {column: value}]))
         with pytest.raises(ValueError, match=rf"typed\.json: row 2, column '{column}'"):
             read_results(path)
 
     def test_json_int_passes_as_a_float(self, tmp_path):
         path = tmp_path / "typed.json"
-        path.write_text(json.dumps([record().__dict__ | {"mag": 1, "wall_ms": 0}]))
+        path.write_text(json.dumps([dataclasses.asdict(record()) | {"mag": 1, "wall_ms": 0}]))
         (got,) = read_results(path)
         assert got == record(mag=1.0, wall_ms=0.0) and type(got.mag) is float
 
@@ -351,6 +352,20 @@ class TestEmitAndRead:
         cells[CSV_COLUMNS.index(column)] = f'"{value}"'
         path.write_text("\n".join([header, first, ",".join(cells)]) + "\n")
         with pytest.raises(ValueError, match=rf"typed\.csv: row 2, column '{column}'"):
+            read_results(path)
+
+    def test_csv_row_with_cells_past_the_header_names_path_and_row(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        emit_results([record(), record()], "csv", path)
+        header, first, second = path.read_text().splitlines()
+        path.write_text("\n".join([header, first, second + ",99,junk"]) + "\n")
+        with pytest.raises(ValueError, match=r"wide\.csv: row 2 has cells past the header \['99', 'junk'\]"):
+            read_results(path)
+
+    def test_json_record_with_an_unknown_key_names_path_row_and_key(self, tmp_path):
+        path = tmp_path / "extra.json"
+        path.write_text(json.dumps([dataclasses.asdict(record()) | {"magg": 3}]))
+        with pytest.raises(ValueError, match=r"extra\.json: row 1 has unknown columns \['magg'\]"):
             read_results(path)
 
     def test_bad_format(self, tmp_path):
@@ -374,7 +389,7 @@ class TestDeterminism:
 
     def test_records_identical_except_walltime(self):
         config = small_config(repetitions=1)
-        strip = lambda r: {k: v for k, v in r.__dict__.items() if k != "wall_ms"}
+        strip = lambda r: {k: v for k, v in dataclasses.asdict(r).items() if k != "wall_ms"}
         assert list(map(strip, run_experiment(config))) == list(map(strip, run_experiment(config)))
 
 
@@ -446,10 +461,19 @@ def ring(n, steps=1):
     return TfimParams(n_qubits=n, h=0.786, J=0.787, dt=0.5, n_steps=steps)
 
 
-# sha256 of the --stable-timing CSV of each sampling config, recorded when
-# the stream seeds became packed (repetition seed, variant, fragment, basis)
-# fields: stream seeds, fragment order and every shot must stay as they were.
+# sha256 of the --stable-timing CSV of each config.  The sampling digests were
+# recorded when the stream seeds became packed (repetition seed, variant,
+# fragment, basis) fields: stream seeds, fragment order and every shot must stay
+# as they were.  The exact digests were recorded before exact evaluation was
+# compiled into cached plans: light cones (n = 8) and the full run with two
+# cuts (n = 6) must keep every bit.
 PINNED_CSVS = {
+    "exact_n8": (dict(params=ring(8), repetitions=2, seed=1),
+                 "c7becc3da3f4a51ccb6bd8905317202fda188f942ed41073658bdc70794f1990"),
+    "exact_n6_two_cuts_reset_readout": (
+        dict(params=ring(6, 2), variants=("vtqg", "vtqg_pet"), repetitions=1,
+             noise=NoiseModel(reset_error=0.01, readout_flip=0.05)),
+        "2e3361c2555cfcebe7623b6a9453ac8f5a2d4473ea1caf6b75f207050c955063"),
     "grouped_per_fragment_n6": (
         dict(params=ring(6), mode="sampling", shots=64, repetitions=2, seed=11),
         "2e4fa8aef36d94e227e814ddd16b0ec3956766cdacf42a171df986a855f059fe"),

@@ -669,6 +669,43 @@ class TestLightCones:
             run_enumerated_exact(circuit, (), [PauliObservable.single(11, 0, "Z")])
 
 
+class TestExactPlan:
+    """Each exact evaluation is compiled once per key; its values are computed on every call."""
+
+    @pytest.mark.parametrize("n", [4, 8])  # the full run, then light cones
+    def test_each_noise_model_gets_its_own_values(self, n):
+        params = TfimParams(n, 0.786, 0.787, 0.5, 1)
+        build = build_trotter_circuit(params, "vtqg")
+        obs = bloch_observables(n)
+        for noise in (NoiseModel(), NoiseModel(p2=0.02)):
+            values, _ = run_enumerated_exact(build.circuit, build.cuts, obs, noise)
+            _, states = stepwise_density(params, "vtqg", noise)
+            assert max(abs(v - expectation(states[-1], o)) for v, o in zip(values, obs)) < 1e-12, noise
+
+    @pytest.mark.parametrize("n", [6, 11])  # the full run at the default cap, then light cones
+    def test_a_lower_cap_applies_after_a_call_at_the_default(self, n, monkeypatch):
+        build = build_trotter_circuit(TfimParams(n, 0.786, 0.787, 0.5, 1), "vtqg")
+        run_enumerated_exact(build.circuit, build.cuts, bloch_observables(n), NoiseModel())
+        monkeypatch.setattr(qpd, "DENSITY_QUBIT_CAP", 2)
+        with pytest.raises(ResourceLimitError, match="spans 3 qubits, which exceeds density cap 2"):
+            run_enumerated_exact(build.circuit, build.cuts, bloch_observables(n), NoiseModel())
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_a_repeated_call_evolves_its_densities_again(self, n, monkeypatch):
+        runs = []
+        real = qpd._evolve
+        monkeypatch.setattr(qpd, "_evolve", lambda *a: runs.append(1) or real(*a))
+        build = build_trotter_circuit(TfimParams(n, 0.786, 0.787, 0.5, 1), "vtqg_pet")
+        qpd._exact_plan.cache_clear()  # the first call compiles the plan, the second finds it
+        first, _ = run_enumerated_exact(build.circuit, build.cuts, bloch_observables(n), NoiseModel())
+        evolved = len(runs)
+        again, _ = run_enumerated_exact(build.circuit, build.cuts, bloch_observables(n), NoiseModel())
+        assert again == first
+        assert evolved >= 1 and len(runs) == 2 * evolved
+        info = qpd._exact_plan.cache_info()
+        assert info.hits == 1 and info.maxsize is not None
+
+
 class TestManifest:
     def test_enumerated_manifest_fields(self):
         params = TfimParams(4, 0.786, 0.787, 0.5, 1)
