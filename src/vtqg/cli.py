@@ -80,7 +80,7 @@ def _cmd_experiment(args) -> int:
         overrides["seed"] = args.seed
     if overrides:
         config = ExperimentConfig.from_dict(config.to_dict() | overrides)
-    fmt = args.format or ("json" if str(args.out).endswith(".json") else "csv")
+    fmt = args.format or ("json" if str(args.out).lower().endswith(".json") else "csv")
     records = run_experiment(config)
     emit_results(records, fmt, args.out, stable_timing=args.stable_timing)
     print(f"mode={config.mode} sampling_strategy={config.sampling_strategy} "

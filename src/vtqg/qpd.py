@@ -42,7 +42,8 @@ import numpy as np
 
 from .circuit import Circuit, Gate, GateKind, circuit_to_text, measure_z, reset, rz, x
 from .errors import PreconditionError, ResourceLimitError
-from .sim import DENSITY_QUBIT_CAP, DensityMatrix, PauliObservable, _DepolarizeOp, _evolve, expectations, run_density
+from .sim import (DENSITY_QUBIT_CAP, DensityMatrix, PauliObservable, _compile, _DepolarizeOp, _evolve, expectations,
+                  run_density)
 
 FAMILY_II = "II"
 FAMILY_ZZ = "ZZ"
@@ -344,10 +345,12 @@ def _program(circuit: Circuit, cuts: list[CutSite], weighted_terms) -> list:
 # needed wire leave the observable alone: every channel here is unital.
 
 # Fixed cost of one density-engine operation, in state entries.  Measured on
-# a shared 2-core machine, a noisy gate costs 45-70 us at any size up to 5
-# qubits, about 100 us at 6, 0.4 ms at 7 and 2-3 ms at 8 qubits (4^8 entries
-# at 30-40 ns each), so the fixed part is about 4^5 to 4^5.3 entries; it is
-# rounded up to 4^6 so that near-ties stay on the full run.
+# a shared 2-core machine, a compiled noisy gate costs 4-20 us up to 5
+# qubits, 30-45 us at 6, 0.12-0.18 ms at 7 and 0.5-0.7 ms at 8 qubits (4^8
+# entries at 7-11 ns each), so the fixed part is about 4^4.5 to 4^5 entries.
+# It stays 4^6, which keeps near-ties on the full run: a smaller constant
+# would move rings from the full run to the cones, which agree with it only
+# to about 1e-15, and so change the pinned CSVs.
 _OP_FIXED_COST = 4**6
 
 _LETTERS = {GateKind.RZ: "Z", GateKind.RX: "X", GateKind.RZZ: "ZZ", GateKind.RZX: "ZX"}
@@ -443,8 +446,8 @@ def _relabelled(op, slots) -> tuple:
     return type(op), *op[1:], slots
 
 
-def _cone_programs(cones: list, observables: list[PauliObservable]) -> list[tuple]:
-    """[(width, ops on their slots, observable indices, their cone-local observables)] per distinct cone program.
+def _cone_programs(cones: list, observables: list[PauliObservable], noise) -> list[tuple]:
+    """[(width, compiled program, observable indices, their cone-local observables)] per distinct cone program.
 
     Cones with the same relabelled program share one density run: on a
     translation-symmetric ring most of them are the same computation.
@@ -456,8 +459,8 @@ def _cone_programs(cones: list, observables: list[PauliObservable]) -> list[tupl
     programs = []
     for group in same_program.values():
         _, _, width, reduced = group[0]
-        ops = [replace(op, qubits=slots) if isinstance(op, Gate) else op._replace(qubits=slots)
-               for op, slots in reduced]
+        ops = _compile([replace(op, qubits=slots) if isinstance(op, Gate) else op._replace(qubits=slots)
+                        for op, slots in reduced], noise, width)
         local = tuple(PauliObservable(tuple(("".join(s[q] for q in support).ljust(width, "I"), w)
                                             for s, w in observables[i].terms))
                       for support, indices, _, _ in group for i in indices)
@@ -477,7 +480,7 @@ def _evaluate_cones(cones: list, observables: list[PauliObservable], noise, prog
             raise ResourceLimitError(f"the light cone of qubits {list(support)} spans {width} qubits, "
                                      f"which exceeds density cap {DENSITY_QUBIT_CAP}")
     values = [0.0] * len(observables)
-    for width, ops, indices, local in programs or _cone_programs(cones, observables):
+    for width, ops, indices, local in programs or _cone_programs(cones, observables, noise):
         for i, value in zip(indices, expectations(_evolve(DensityMatrix.zero(width), ops, noise), local)):
             values[i] = value
     return values
@@ -485,19 +488,21 @@ def _evaluate_cones(cones: list, observables: list[PauliObservable], noise, prog
 
 @functools.lru_cache(maxsize=128)
 def _exact_plan(circuit: Circuit, cuts: tuple, observables: tuple, noise, cap: int) -> tuple:
-    """(cut program, 10^m, light cones or None for the full run, their `_cone_programs`) of one exact evaluation.
+    """(compiled full run or None, 10^m, light cones or None, their `_cone_programs`) of one exact evaluation.
 
     Pure in its arguments, `cap` being the density cap the choice between the
     full run and the cones was made under, so it is compiled once per process
-    for each key; it holds no state and no value.  The result is cached and
-    shared, so no caller may write to it.
+    for each key, each program into `sim._compile`'s kernel steps; it holds no
+    state and no value.  The result is cached and shared, so no caller may
+    write to it.
     """
     cuts = _check_cuts(circuit, cuts)
     term_lists = [decompose_vrzz(c.theta) for c in cuts]
     program = _program(circuit, cuts, [[(t.coefficient, t) for t in ts] for ts in term_lists])
     n = circuit.n_qubits
     cones = _light_cones(circuit, program, observables, noise, _cost(n, program) if n <= cap else None)
-    return program, math.prod(len(ts) for ts in term_lists), cones, cones and _cone_programs(cones, observables)
+    full = _compile(program, noise, n) if cones is None else None
+    return full, math.prod(len(ts) for ts in term_lists), cones, cones and _cone_programs(cones, observables, noise)
 
 
 def run_enumerated_exact(circuit: Circuit, cuts, observables: list[PauliObservable],

@@ -12,16 +12,19 @@ observables, for both kinds of state: it reads every Pauli string on the
 marginal of its support, taken once per support.
 
 Every dense operator, in every engine, is a 2^k x 2^k matrix on k axes of a
-state tensor, applied by one kernel, `_apply_matrix`.  A density operation
-is one 4^k x 4^k superoperator on its k qubits' row axes, then their column
-axes (`_apply_superop` maps the qubits to those axes): a noisy
-gate is D_p (U (x) U*), D_p its depolarizing map; a measurement outcome is
-its projector map, then D_p; a reset is rho -> |0><0| Tr rho, then D_p; a
-classically controlled gate is its inner gate's map, on the branches whose
-bit reads 1.  One branch loop, `_evolve`, runs every exact program; a gate-less
-operation (a `qpd` cut, depolarizing noise) is anything with `qubits` and a
-`superop` and acts on every live branch, so feedback after a cut reads bits
-measured before it.  `DensityMatrix.zero` checks the density cap.
+state tensor, applied by a kernel from one builder, `_matrix_kernel`, which
+picks the kernel's path and axis orders once.  A density operation is one
+4^k x 4^k superoperator on its k qubits' row axes, then their column axes: a
+noisy gate is D_p (U (x) U*), D_p its depolarizing map; a measurement
+outcome is its projector map, then D_p; a reset is rho -> |0><0| Tr rho,
+then D_p; a classically controlled gate is its inner gate's map, on the
+branches whose bit reads 1.  `_compile` turns a density program into steps
+that hold these kernels (a measurement's two), so a program compiled once
+runs with no per-operation lookups.  One branch loop, `_evolve`, runs every
+exact program; a gate-less operation (a `qpd` cut, depolarizing noise) is
+anything with `qubits` and a `superop` and acts on every live branch, so
+feedback after a cut reads bits measured before it.  `DensityMatrix.zero`
+checks the density cap.
 
 Shot sampling advances a block of shots together.  The block is one state
 tensor with one column per distinct history as its trailing axis,
@@ -135,23 +138,29 @@ def gate_matrix(g: Gate) -> np.ndarray:
 # --- tensor kernel ----------------------------------------------------------
 
 
-def _apply_matrix(tensor: np.ndarray, mat: np.ndarray, axes) -> np.ndarray:
-    """A 2^k x 2^k matrix on k length-2 axes of a tensor, indexed by their bits in the order `axes` lists them.
+def _matrix_kernel(mat: np.ndarray, axes, shape):
+    """The function applying a 2^k x 2^k matrix on k length-2 axes of any tensor of `shape`, returning a new tensor.
 
-    Consecutive ascending axes with left <= right view the tensor as (left, 2^k, right) for one
-    stacked matmul, which keeps it C-contiguous.  Otherwise (a stack of many tiny products, or any
-    other axes) a transpose puts the axes in front, the tensor takes one matmul, and the inverse
-    transpose puts them back.
+    The matrix is indexed by the axes' bits in the order `axes` lists them.  Consecutive ascending
+    axes with left <= right view the tensor as (left, 2^k, right) for one stacked matmul, which keeps
+    it C-contiguous.  Otherwise (a stack of many tiny products, or any other axes) a transpose puts
+    the axes in front, the tensor takes one matmul, and the inverse transpose puts them back.  The
+    path, the view and both orders are worked out here, once.
     """
-    k, first = len(axes), axes[0]
-    left = math.prod(tensor.shape[:first])
-    right = tensor.size // (left * len(mat))
+    k, first, shape = len(axes), axes[0], tuple(shape)
+    left = math.prod(shape[:first])
+    right = math.prod(shape) // (left * len(mat))
     if left <= right and list(axes) == list(range(first, first + k)):
-        return np.matmul(mat, tensor.reshape(left, len(mat), right)).reshape(tensor.shape)
-    order = [*axes, *(a for a in range(tensor.ndim) if a not in axes)]
-    front = tensor.transpose(order)
-    out = mat @ front.reshape(len(mat), -1)
-    return out.reshape(front.shape).transpose(np.argsort(order))
+        view = (left, len(mat), right)
+        return lambda tensor: np.matmul(mat, tensor.reshape(view)).reshape(shape)
+    order = (*axes, *(a for a in range(len(shape)) if a not in axes))
+    inverse, front = tuple(order.index(a) for a in range(len(shape))), tuple(shape[a] for a in order)
+    return lambda tensor: (mat @ tensor.transpose(order).reshape(len(mat), -1)).reshape(front).transpose(inverse)
+
+
+def _apply_matrix(tensor: np.ndarray, mat: np.ndarray, axes) -> np.ndarray:
+    """A 2^k x 2^k matrix on k length-2 axes of a tensor; see `_matrix_kernel`."""
+    return _matrix_kernel(mat, axes, tensor.shape)(tensor)
 
 
 # --- density kernel ---------------------------------------------------------
@@ -172,12 +181,10 @@ def _depolarizing(k: int, p: float) -> np.ndarray:
     return (1.0 - p) * np.eye(4**k) + (p / 2**k) * np.outer(vec_i, vec_i)
 
 
-@functools.lru_cache(maxsize=4096)
 def _superop(g: Gate, p: float, outcome: int = 0) -> np.ndarray:
     """D_p times g's map: a measurement's projector onto `outcome`, the reset map, or U (x) U*.
 
-    A classically controlled gate's map is its inner gate's.  The result is
-    cached and shared, so no caller may write to it.
+    A classically controlled gate's map is its inner gate's.
     """
     if g.kind == GateKind.MEASURE_Z:
         s = _PROJECT[outcome]
@@ -308,43 +315,69 @@ class _Branch:
         self.sign = sign
 
 
+class _Step(NamedTuple):
+    """One compiled density operation: its kernel, or a measurement's two outcome kernels, and its classical wiring."""
+
+    kernels: tuple
+    clbit: int | None
+    signed: bool
+    controlled: bool
+
+
+@functools.lru_cache(maxsize=4096)
+def _step(op, p: float, n: int) -> _Step:
+    """op's step on n qubits, p the strength of a gate's noise; cached and shared, so no caller may write to it."""
+    axes, shape = [*op.qubits, *(n + q for q in op.qubits)], (2,) * (2 * n)
+    if not isinstance(op, Gate):  # a gate-less operation acts on every live branch
+        return _Step((_matrix_kernel(op.superop, axes, shape),), None, False, False)
+    outcomes = (0, 1) if op.kind == GateKind.MEASURE_Z else (0,)
+    kernels = tuple(_matrix_kernel(_superop(op, p, outcome), axes, shape) for outcome in outcomes)
+    return _Step(kernels, op.clbit, op.signed, op.kind == GateKind.CLASSICALLY_CONTROLLED)
+
+
+def _compile(ops, noise, n: int) -> tuple[_Step, ...]:
+    """The steps of a density program on n qubits: each op's noise strength looked up once, and its step.
+
+    Steps already compiled are returned as they are.
+    """
+    ops = tuple(ops)
+    if ops and isinstance(ops[0], _Step):
+        return ops
+    return tuple(_step(g, 0.0 if noise is None or not isinstance(g, Gate) else noise.strength_for(g), n) for g in ops)
+
+
 def _evolve_branches(branches: list[_Branch], ops, noise, n: int) -> list[_Branch]:
-    for g in ops:
-        if not isinstance(g, Gate):  # a gate-less operation acts on every live branch
-            superop = g.superop
-            for br in branches:
-                br.rho = _apply_superop(br.rho, superop, g.qubits, n)
-            continue
-        p = 0.0 if noise is None else noise.strength_for(g)
-        if g.kind == GateKind.MEASURE_Z:
+    for kernels, clbit, signed, controlled in _compile(ops, noise, n):
+        if len(kernels) == 2:  # a measurement splits every branch by outcome
             split: list[_Branch] = []
             for br in branches:
-                for outcome in (0, 1):
+                for outcome, kernel in enumerate(kernels):
                     clbits = list(br.clbits)
-                    clbits[g.clbit] = outcome
-                    sign = br.sign * (-1 if (g.signed and outcome == 1) else 1)
-                    rho = _apply_superop(br.rho, _superop(g, p, outcome), g.qubits, n)
-                    split.append(_Branch(rho, clbits, sign))
+                    clbits[clbit] = outcome
+                    split.append(_Branch(kernel(br.rho), clbits, -br.sign if signed and outcome else br.sign))
             branches = split
             continue
+        kernel = kernels[0]
         for br in branches:
-            if g.kind != GateKind.CLASSICALLY_CONTROLLED or br.clbits[g.clbit] == 1:
-                br.rho = _apply_superop(br.rho, _superop(g, p), g.qubits, n)
+            if not controlled or br.clbits[clbit] == 1:
+                br.rho = kernel(br.rho)
     return branches
 
 
 def _evolve(state: DensityMatrix, ops, noise) -> DensityMatrix:
-    """The density engine's one loop: evolve `state` through gates and gate-less operations (cuts, noise).
+    """The density engine's one loop: evolve `state` through a program of gates and gate-less operations.
 
+    `ops` is a `_compile`d program, run as given (its noise was compiled in),
+    or bare gates and operations (cuts, noise), compiled here under `noise`.
     Each measurement splits every branch by outcome; the branches are summed
     (outcome 1 of a signed measurement with sign -1) only on return, so
     classical feedback reads every bit measured earlier in `ops`.
     """
     n = state.n_qubits
-    ops = list(ops)
-    n_clbits = 1 + max((op.clbit for op in ops if isinstance(op, Gate) and op.clbit is not None), default=-1)
+    steps = _compile(ops, noise, n)
+    n_clbits = 1 + max((step.clbit for step in steps if step.clbit is not None), default=-1)
     branches = [_Branch(state.tensor(), [0] * n_clbits, 1)]  # no kernel writes to its input
-    branches = _evolve_branches(branches, ops, noise, n)
+    branches = _evolve_branches(branches, steps, noise, n)
     total = sum(br.sign * br.rho for br in branches)
     return DensityMatrix(n, total.reshape(state.mat.shape))
 

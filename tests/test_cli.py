@@ -102,6 +102,13 @@ class TestExperiment:
         assert code == 0
         assert json.loads(out_path.read_text())[0]["variant"] == "vtqg_pet"
 
+    def test_format_inferred_from_an_upper_case_extension(self, capsys, tmp_path):
+        out_path = tmp_path / "results.JSON"
+        code, _, _ = run_cli(capsys, "experiment", "--qubits", "4", "--reps", "1",
+                             "--variant", "vtqg", "--out", str(out_path))
+        assert code == 0
+        assert json.loads(out_path.read_text())[0]["variant"] == "vtqg"
+
     def test_sampling_mode_flag(self, capsys, tmp_path):
         out_path = tmp_path / "results.csv"
         code, out, _ = run_cli(

@@ -304,6 +304,40 @@ class TestApplyMatrix:
         out = sim._apply_superop(rho.reshape([2] * (2 * n)), np.kron(u, u.conj()), qubits, n)
         assert np.max(np.abs(out.reshape(2**n, 2**n) - dense @ rho @ dense.conj().T)) < 1e-13
 
+    # a density tensor [2]*6 and a block [2]*4 + [3]; stacked: the (left, 2^k, right) view, else the transposes
+    @pytest.mark.parametrize("shape, axes, stacked", [
+        ((2,) * 6, (0,), True), ((2,) * 6, (2, 3), True), ((2,) * 6, (5,), False), ((2,) * 6, (4, 5), False),
+        ((2,) * 6, (3, 1), False), ((2,) * 6, (0, 4), False),
+        ((2,) * 4 + (3,), (1,), True), ((2,) * 4 + (3,), (0, 1), True), ((2,) * 4 + (3,), (3,), False),
+        ((2,) * 4 + (3,), (2, 3), False), ((2,) * 4 + (3,), (2, 0), False), ((2,) * 4 + (3,), (1, 3), False)])
+    def test_kernel_matches_an_einsum_and_the_one_shot_call(self, shape, axes, stacked):
+        k, d = len(axes), len(shape)
+        rng = np.random.default_rng(d + 10 * sum(axes) + 100 * k)
+        mat = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
+        tensor = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        before = tensor.copy()
+        summed = list(range(d, d + k))  # the input index of each acted-on axis
+        inputs = [summed[axes.index(a)] if a in axes else a for a in range(d)]
+        expected = np.einsum(mat.reshape([2] * (2 * k)), [*axes, *summed], tensor, inputs, list(range(d)))
+        kernel = sim._matrix_kernel(mat, axes, shape)
+        out = kernel(tensor)
+        assert out.shape == shape and out.flags.c_contiguous == stacked
+        assert np.max(np.abs(out - expected)) < 1e-12
+        assert np.array_equal(kernel(tensor), sim._apply_matrix(tensor, mat, axes))
+        assert np.array_equal(tensor, before)
+
+    def test_a_compiled_program_runs_twice_to_the_same_bits(self):
+        # signed measurements, a reset and feedback: both outcome kernels and the controlled path
+        circuit = pinned_circuit()
+        rng = np.random.default_rng(23)
+        state = DensityMatrix(5, oracles.random_density(5, rng))
+        before = state.mat.copy()
+        steps = sim._compile(circuit.gates, LAW_NOISE, 5)
+        first, second = sim._evolve(state, steps, None), sim._evolve(state, steps, None)
+        assert first.mat.tobytes() == second.mat.tobytes()
+        assert first.mat.tobytes() == sim._evolve(state, circuit.gates, LAW_NOISE).mat.tobytes()
+        assert np.array_equal(state.mat, before)  # no kernel writes to its input
+
 
 class TestDepolarizeKernel:
     @pytest.mark.parametrize("qubits", [(1,), (0, 2), (2, 0)])
@@ -574,6 +608,53 @@ class TestSamplerPinned:
         # 2^2 amplitudes and a 4-column draw table per shot: 1000-shot blocks
         monkeypatch.setattr(sim, "_BLOCK_AMPLITUDES", 1000 * (4 + 4))
         assert same_shots(sample_shots(circuit, 300_000, seed=5, basis="XY", noise=noise), out)
+
+
+def random_density_circuit(n, depth, rng):
+    """Random gates of every kind the density engine runs, on n qubits and two classical bits.
+
+    At most three measurements, so a run holds at most eight branches.
+    """
+    unitaries = [lambda a, b, t: rx(t, a), lambda a, b, t: rz(t, a), lambda a, b, t: h(a)]
+    if n > 1:
+        unitaries += [lambda a, b, t: rzz(t, a, b), lambda a, b, t: rzx(t, a, b, pet=bool(rng.integers(2))),
+                      lambda a, b, t: cnot(a, b), lambda a, b, t: swap(a, b)]
+    gates, written = [], []
+    for _ in range(depth):
+        a, b = (int(v) for v in rng.permutation(n)[:2]) if n > 1 else (0, None)
+        theta, clbit, roll = float(rng.uniform(-math.pi, math.pi)), int(rng.integers(2)), rng.random()
+        if roll < 0.12 and len(written) < 3:
+            gates.append(measure_z(a, clbit, signed=bool(rng.integers(2))))
+            written.append(clbit)
+        elif roll < 0.2:
+            gates.append(reset(a))
+        else:
+            gate = unitaries[rng.integers(len(unitaries))](a, b, theta)
+            controlled = roll < 0.3 and written  # feedback reads a bit measured earlier
+            gates.append(classically_controlled(gate, written[clbit % len(written)]) if controlled else gate)
+    return Circuit(n, 2, tuple(gates))
+
+
+# sha256 prefixes of the raw bytes of run_density over 300 seeded random
+# circuits (n = 1-5), recorded before the density engine ran compiled
+# programs: compiling must not move a bit, not even the sign of a zero.
+DENSITY_DIGESTS = {
+    "none": "f85d9113a0e64abc",
+    "default": "f750f37901e69b5a",
+    "heavy": "d092276a3ad067d8",
+}
+DENSITY_NOISE = {"none": None, "default": NoiseModel(), "heavy": LAW_NOISE}
+
+
+class TestDensityPinned:
+    @pytest.mark.parametrize("name", sorted(DENSITY_DIGESTS))
+    def test_run_density_matches_the_recorded_digest(self, name):
+        rng = np.random.default_rng(2024)
+        digest = hashlib.sha256()
+        for i in range(300):
+            circuit = random_density_circuit(1 + i % 5, int(rng.integers(1, 16)), rng)
+            digest.update(run_density(circuit, DENSITY_NOISE[name]).mat.tobytes())
+        assert digest.hexdigest()[:16] == DENSITY_DIGESTS[name]
 
 
 def keep_rule_fragment():
