@@ -24,9 +24,10 @@ per cut and realizes each projector as a measurement with a keep rule; a
 grouped fragment picks one of the six terms whose projector sign is +1 and
 realizes its projector pair as one signed measurement.  A circuit with no
 cuts is the one fragment of weight 1 and evaluates as a plain density run.
-Exact evaluation runs either the whole register or, when that is estimated
-cheaper or the register is past the density cap, the backward light cone of
-each observable's wires (see the light-cone section).
+Exact evaluation is one list of density runs read by one loop: the distinct
+backward light cones of the observables' wires, when those are estimated
+cheaper or the register is past the density cap (see the light-cone
+section), or else the whole register, the one-run case.
 """
 
 from __future__ import annotations
@@ -342,7 +343,9 @@ def _program(circuit: Circuit, cuts: list[CutSite], weighted_terms) -> list:
 # class of their letter.  H swaps the Z and X classes, a SWAP moves a needed
 # wire to its partner, and any other gate makes all its wires general.  A cut
 # op is the noiseless ZZ rotation its term sum equals.  Gates that touch no
-# needed wire leave the observable alone: every channel here is unital.
+# needed wire leave the observable alone: every channel here is unital.  The
+# cone's ops are emitted on its own slots, so equal cones are equal (width,
+# ops) pairs and share one density run.
 
 # Fixed cost of one density-engine operation, in state entries.  Measured on
 # a shared 2-core machine, a compiled noisy gate costs 4-20 us up to 5
@@ -364,16 +367,16 @@ def _backward_steps(program: list) -> list[tuple]:
             for op in reversed(program)]
 
 
-def _light_cone(steps: list[tuple], wires: tuple[int, ...], noise) -> tuple[int, list]:
-    """(width, reduced program) of the backward light cone of `wires`, which start general.
+def _light_cone(steps: list[tuple], wires: tuple[int, ...], noise) -> tuple[int, tuple]:
+    """(width, ops) of the backward light cone of `wires`, which start general.
 
-    `steps` is the program from `_backward_steps`.  The reduced program lists
-    (op, slots) pairs, slots being the op's qubits in the cone's `width`
-    slots; wires[i] is slot i at the end.
+    `steps` is the program from `_backward_steps`.  The ops act on the cone's
+    `width` slots, wires[i] being slot i at the end, so two cones with equal
+    (width, ops) are one computation.
     """
     slot = {w: i for i, w in enumerate(wires)}
     cls = dict.fromkeys(wires, "G")
-    reduced = []
+    ops = []
     for op, qubits, kind, letters in steps:
         if slot.keys().isdisjoint(qubits):
             continue
@@ -381,10 +384,10 @@ def _light_cone(steps: list[tuple], wires: tuple[int, ...], noise) -> tuple[int,
             needed = [q for q in qubits if q in slot]
             slots = tuple(slot[q] for q in needed)
             p = 0.0 if kind is None or noise is None else noise.strength_for(op)
-            if p > 0.0 and reduced and isinstance(reduced[-1][0], _DepolarizeOp) and reduced[-1][1] == slots:
-                p = 1.0 - (1.0 - p) * (1.0 - reduced.pop()[0].p)  # one channel, composed
+            if p > 0.0 and ops and isinstance(ops[-1], _DepolarizeOp) and ops[-1].qubits == slots:
+                p = 1.0 - (1.0 - p) * (1.0 - ops.pop().p)  # one channel, composed
             if p > 0.0:
-                reduced.append((_DepolarizeOp(slots, p), slots))
+                ops.append(_DepolarizeOp(slots, p))
             if kind is GateKind.SWAP:
                 a, b = qubits
                 moved = [(b if q == a else a, slot.pop(q), cls.pop(q)) for q in needed]
@@ -398,20 +401,23 @@ def _light_cone(steps: list[tuple], wires: tuple[int, ...], noise) -> tuple[int,
                 slot[q], cls[q] = len(slot), letter or "G"
             elif cls[q] != letter:
                 cls[q] = "G"
-        reduced.append((op, tuple(slot[q] for q in qubits)))
-    return len(slot), reduced[::-1]
+        slots = tuple(slot[q] for q in qubits)
+        ops.append(op._replace(qubits=slots) if kind is None else replace(op, qubits=slots))
+    return len(slot), tuple(ops[::-1])
 
 
-def _cost(width: int, program: list) -> int:
+def _cost(width: int, program) -> int:
     return len(program) * (4**width + _OP_FIXED_COST)
 
 
-def _light_cones(circuit: Circuit, program: list, observables: list[PauliObservable], noise, budget):
-    """[(support, observable indices, width, reduced program)] per distinct observable support.
+def _cone_runs(circuit: Circuit, program: list, observables, noise, budget, cap: int) -> list[tuple] | None:
+    """The runs of `_exact_plan`, one per distinct light-cone program of the observables' supports.
 
     None when the circuit measures, resets or branches, when an observable
     has no support, or when the cones would cost `budget` or more (None for
-    no budget): those take the full run.
+    no budget): those take the full run.  A cone wider than the density cap
+    `cap` raises ResourceLimitError.  Cones with equal ops share one run: on a
+    translation-symmetric ring most of them are the same computation.
     """
     if any(g.kind in _CONE_BLOCKERS for g in circuit.gates):
         return None
@@ -420,89 +426,53 @@ def _light_cones(circuit: Circuit, program: list, observables: list[PauliObserva
     for i, obs in enumerate(observables):
         if obs.n_qubits != n:
             raise ValueError(f"observable on {obs.n_qubits} qubits, state on {n}")
-        support = obs.support
-        if not support:
+        if not obs.support:
             return None
-        groups.setdefault(support, []).append(i)
-    steps, cones, spent = _backward_steps(program), [], 0
+        groups.setdefault(obs.support, []).append(i)
+    steps, same_ops, spent = _backward_steps(program), {}, 0
     for support, indices in groups.items():
-        width, reduced = _light_cone(steps, support, noise)
-        spent += _cost(width, reduced)
+        width, ops = cone = _light_cone(steps, support, noise)
+        spent += _cost(width, ops)
         if budget is not None and spent >= budget:
             return None
-        cones.append((support, indices, width, reduced))
-    return cones
-
-
-def _relabelled(op, slots) -> tuple:
-    """A key for a cone op as it runs on its slots, without building that op.
-
-    A gate runs by its kind, angle and pet flag (its noise strength depends
-    on no more; measurements, resets and classical control never reach a
-    cone), and a cut or noise op by its fields after `qubits`.
-    """
-    if isinstance(op, Gate):
-        return op.kind, op.angle, op.pet, slots
-    return type(op), *op[1:], slots
-
-
-def _cone_programs(cones: list, observables: list[PauliObservable], noise) -> list[tuple]:
-    """[(width, compiled program, observable indices, their cone-local observables)] per distinct cone program.
-
-    Cones with the same relabelled program share one density run: on a
-    translation-symmetric ring most of them are the same computation.
-    """
-    same_program: dict[tuple, list] = {}
-    for cone in cones:
-        _, _, width, reduced = cone
-        same_program.setdefault((width, tuple(_relabelled(op, slots) for op, slots in reduced)), []).append(cone)
-    programs = []
-    for group in same_program.values():
-        _, _, width, reduced = group[0]
-        ops = _compile([replace(op, qubits=slots) if isinstance(op, Gate) else op._replace(qubits=slots)
-                        for op, slots in reduced], noise, width)
-        local = tuple(PauliObservable(tuple(("".join(s[q] for q in support).ljust(width, "I"), w)
-                                            for s, w in observables[i].terms))
-                      for support, indices, _, _ in group for i in indices)
-        programs.append((width, ops, [i for _, indices, _, _ in group for i in indices], local))
-    return programs
-
-
-def _evaluate_cones(cones: list, observables: list[PauliObservable], noise, programs=None) -> list[float]:
-    """Every observable from the density run of its support's light cone; the cap applies per cone.
-
-    `programs` are the cones' `_cone_programs`, compiled here when not given.
-    Each call checks the cap and evolves each distinct program once, so no
-    value is ever reused from an earlier call.
-    """
-    for support, _, width, _ in cones:
-        if width > DENSITY_QUBIT_CAP:
+        if width > cap:
             raise ResourceLimitError(f"the light cone of qubits {list(support)} spans {width} qubits, "
-                                     f"which exceeds density cap {DENSITY_QUBIT_CAP}")
-    values = [0.0] * len(observables)
-    for width, ops, indices, local in programs or _cone_programs(cones, observables, noise):
-        for i, value in zip(indices, expectations(_evolve(DensityMatrix.zero(width), ops, noise), local)):
-            values[i] = value
-    return values
+                                     f"which exceeds density cap {cap}")
+        same_ops.setdefault(cone, []).extend(indices)
+    return [(width, _compile(ops, noise, width), indices,
+             tuple(PauliObservable(tuple(("".join(s[q] for q in observables[i].support).ljust(width, "I"), w)
+                                         for s, w in observables[i].terms)) for i in indices))
+            for (width, ops), indices in same_ops.items()]
 
 
 @functools.lru_cache(maxsize=128)
-def _exact_plan(circuit: Circuit, cuts: tuple, observables: tuple, noise, cap: int) -> tuple:
-    """(compiled full run or None, 10^m, light cones or None, their `_cone_programs`) of one exact evaluation.
+def _exact_plan(circuit: Circuit, cuts: tuple, observables: tuple, noise, cap: int) -> tuple[int, list]:
+    """(10^m, runs) of one exact evaluation: each run (width, compiled steps, observable indices, their observables).
 
-    Pure in its arguments, `cap` being the density cap the choice between the
-    full run and the cones was made under, so it is compiled once per process
-    for each key, each program into `sim._compile`'s kernel steps; it holds no
-    state and no value.  The result is cached and shared, so no caller may
-    write to it.
+    The runs are `_cone_runs`, or when that is None the one full run (n,
+    program, every index, the observables).  Pure in its arguments, `cap`
+    being the density cap the runs were chosen and checked under, so it is
+    compiled once per process for each key, each program into
+    `sim._compile`'s kernel steps; it holds no state and no value.  The
+    result is cached and shared, so no caller may write to it.
     """
     cuts = _check_cuts(circuit, cuts)
     term_lists = [decompose_vrzz(c.theta) for c in cuts]
     program = _program(circuit, cuts, [[(t.coefficient, t) for t in ts] for ts in term_lists])
     n = circuit.n_qubits
-    cones = _light_cones(circuit, program, observables, noise, _cost(n, program) if n <= cap else None)
-    full = _compile(program, noise, n) if cones is None else None
-    return full, math.prod(len(ts) for ts in term_lists), cones, cones and _cone_programs(cones, observables, noise)
+    runs = _cone_runs(circuit, program, observables, noise, _cost(n, program) if n <= cap else None, cap)
+    if runs is None:
+        runs = [(n, _compile(program, noise, n), range(len(observables)), observables)]
+    return math.prod(len(ts) for ts in term_lists), runs
+
+
+def _evaluate(runs: list[tuple], observables, noise) -> list[float]:
+    """Each observable read from the density run that holds it; every call evolves every run again."""
+    values = [0.0] * len(observables)
+    for width, steps, indices, local in runs:
+        for i, value in zip(indices, expectations(_evolve(DensityMatrix.zero(width), steps, noise), local)):
+            values[i] = value
+    return values
 
 
 def run_enumerated_exact(circuit: Circuit, cuts, observables: list[PauliObservable],
@@ -510,22 +480,20 @@ def run_enumerated_exact(circuit: Circuit, cuts, observables: list[PauliObservab
     """Exact coefficient-weighted sum of the observables over all 10^m term combinations.
 
     By linearity the sum is one channel per cut, so the circuit with those
-    channels in place is one program, run once by sim's branch loop.  The
-    observables on each distinct support are evaluated on that support's
-    light cone instead, one density run per distinct cone program, when the
-    cones are estimated cheaper than the full run or the circuit is past the
-    density cap, which then applies to each cone.  Either way the observables
-    of one support are read from its marginal, traced out once.  The program,
-    that choice and the cone programs are compiled once per process for each
-    (circuit, cuts, observables, noise, density cap) by `_exact_plan`; every
-    call evolves its densities afresh.  Returns the values and the number of
-    term combinations the sum covers, 10^m.
+    channels in place is one program.  `_exact_plan` turns it into a list of
+    density runs, compiled once per process for each (circuit, cuts,
+    observables, noise, density cap), and one loop evolves each run afresh on
+    every call.  The full run is the one-run case; the observables on each
+    distinct support run on that support's light cone instead, one run per
+    distinct cone program, when the cones are estimated cheaper or the
+    circuit is past the density cap, which then applies to each cone.  Either
+    way the observables of one support are read from its marginal, traced out
+    once.  Returns the values and the number of term combinations the sum
+    covers, 10^m.
     """
     observables = tuple(observables)
-    program, count, cones, programs = _exact_plan(circuit, tuple(cuts), observables, noise, DENSITY_QUBIT_CAP)
-    if cones is not None:
-        return _evaluate_cones(cones, observables, noise, programs), count
-    return expectations(_evolve(DensityMatrix.zero(circuit.n_qubits), program, noise), observables), count
+    count, runs = _exact_plan(circuit, tuple(cuts), observables, noise, DENSITY_QUBIT_CAP)
+    return _evaluate(runs, observables, noise), count
 
 
 # The most cuts a fragment builder takes: m cuts make 6^m grouped or 10^m

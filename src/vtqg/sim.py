@@ -383,7 +383,16 @@ def _evolve(state: DensityMatrix, ops, noise) -> DensityMatrix:
 
 
 def apply_gates_density(state: DensityMatrix, gates, noise=None) -> DensityMatrix:
-    """Evolve a density matrix through gates under an optional noise model; feedback sees only this call's bits."""
+    """Evolve a density matrix through gates under an optional noise model; feedback sees only this call's bits.
+
+    A gate on a qubit outside [0, n) or on a negative classical bit raises ValueError naming it.
+    """
+    gates, n = tuple(gates), state.n_qubits
+    for g in gates:
+        if not all(0 <= q < n for q in g.qubits):
+            raise ValueError(f"{g.kind.value} on qubits {g.qubits}: qubits must be in [0, {n})")
+        if g.clbit is not None and g.clbit < 0:
+            raise ValueError(f"{g.kind.value} on classical bit {g.clbit}: classical bits must be non-negative")
     return _evolve(state, gates, noise)
 
 
@@ -518,8 +527,9 @@ def _uniforms(keys: np.ndarray, draws: np.ndarray) -> np.ndarray:
 def _gate_kernel(g: Gate, n: int):
     """A function applying unitary g to every column of a block [2]*n + [columns].
 
-    The gate's operator is built here, once, and reused by every block and
-    basis of a call.
+    The gate's matrix or diagonal is built here, once, and reused by every
+    block and basis of a call; a dense gate's kernel (its path and axis
+    orders, see `_matrix_kernel`) is built again on every application.
     """
     diag = _gate_diagonal(g)
     if diag is not None:

@@ -232,9 +232,9 @@ class TestRunExperiment:
 
     def test_readout_flip_on_light_cones(self, monkeypatch):
         # at n = 8 exact mode runs light cones; they carry readout_flip as the full run does
-        cone_runs = []
-        real = qpd._evaluate_cones
-        monkeypatch.setattr(qpd, "_evaluate_cones", lambda *a: cone_runs.append(1) or real(*a))
+        widths = []
+        real = qpd._evaluate
+        monkeypatch.setattr(qpd, "_evaluate", lambda runs, *a: widths.append([w for w, *_ in runs]) or real(runs, *a))
         f = 0.2
         noise = NoiseModel(readout_flip=f)
         params = TfimParams(8, 0.786, 0.787, 0.5, 1)
@@ -249,7 +249,7 @@ class TestRunExperiment:
             comps = [[(1 - 2 * f) * v for v in c] for c in pauli_components(rho, build.layout)]
             assert max(abs(a - float(np.mean(c))) for a, c in zip((r.sx, r.sy, r.sz), comps)) < 1e-12
             assert abs(r.mag - magnetization(*comps)) < 1e-12
-        assert len(cone_runs) == 3
+        assert len(widths) == 3 and max(map(max, widths)) < 8  # three calls, each on light cones
 
     @pytest.mark.parametrize("variant", RUN_VARIANTS)
     def test_density_cap_applies_to_every_variant(self, variant, monkeypatch):

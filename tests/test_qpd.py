@@ -1,7 +1,6 @@
 import itertools
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vtqg import harness, qpd, sim
-from vtqg.circuit import Circuit, Gate, circuit_from_text, classically_controlled, cnot, h, measure_z, rx, rz, rzz, x
+from vtqg.circuit import Circuit, circuit_from_text, classically_controlled, cnot, h, measure_z, rx, rz, rzz, x
 from vtqg.errors import PreconditionError, ResourceLimitError
 from vtqg.qpd import (
     CROSS_TERM_SCALE,
@@ -582,9 +581,15 @@ def cut_program(build):
     return qpd._program(build.circuit, cuts, [[(t.coefficient, t) for t in decompose_vrzz(c.theta)] for c in cuts])
 
 
-def forced_cones(build, obs, noise):
-    """The light cones of every observable support, whatever the cost estimate would choose."""
-    return qpd._light_cones(build.circuit, cut_program(build), obs, noise, None)
+def forced_runs(build, obs, noise):
+    """The light-cone runs of every observable support, whatever the cost estimate would choose."""
+    return qpd._cone_runs(build.circuit, cut_program(build), obs, noise, None, sim.DENSITY_QUBIT_CAP)
+
+
+def wire_cones(build, noise):
+    """(width, ops) of each wire's own light cone, wire by wire."""
+    steps = qpd._backward_steps(cut_program(build))
+    return [qpd._light_cone(steps, (q,), noise) for q in range(build.circuit.n_qubits)]
 
 
 def stepwise_density(params, variant, noise):
@@ -617,7 +622,7 @@ class TestLightCones:
         for steps, rho in enumerate(states, start=1):
             build = build_trotter_circuit(TfimParams(n, 0.786, 0.787, 0.5, steps), variant)
             assert build.circuit.gates == full.circuit.gates[:len(build.circuit.gates)]
-            values = qpd._evaluate_cones(forced_cones(build, obs, noise), obs, noise)
+            values = qpd._evaluate(forced_runs(build, obs, noise), obs, noise)
             assert max(abs(v - expectation(rho, o)) for v, o in zip(values, obs)) < 1e-12, steps
 
     @pytest.mark.parametrize("n", [8, 16, 64])
@@ -625,9 +630,12 @@ class TestLightCones:
         for variant in ("routed_original", "vtqg", "vtqg_pet"):
             for steps in ((1,) if variant == "routed_original" else (1, 2, 3)):
                 build = build_trotter_circuit(TfimParams(n, 0.786, 0.787, 0.5, steps), variant)
-                cones = forced_cones(build, bloch_observables(n), NoiseModel())
+                cones = wire_cones(build, NoiseModel())
                 assert len(cones) == n
-                assert max(width for *_, width, _ in cones) == 2 * steps + 1, (variant, steps)
+                assert max(width for width, _ in cones) == 2 * steps + 1, (variant, steps)
+                runs = forced_runs(build, bloch_observables(n), NoiseModel())
+                assert sorted(i for _, _, indices, _ in runs for i in indices) == list(range(3 * n))
+                assert max(width for width, *_ in runs) == 2 * steps + 1, (variant, steps)
 
     @pytest.mark.parametrize("n", [8, 16, 64])
     def test_distinct_cones_run_once(self, n, monkeypatch):
@@ -639,29 +647,34 @@ class TestLightCones:
         configs = [(1, "routed_original", 4), (1, "vtqg", 4), (1, "vtqg_pet", 4)]
         for steps, variant, distinct in configs + ([(2, "vtqg", 6)] if n == 8 else []):
             build = build_trotter_circuit(TfimParams(n, 0.786, 0.787, 0.5, steps), variant)
-            cones = forced_cones(build, obs, noise)
-            programs = [(width, tuple(replace(op, qubits=slots) if isinstance(op, Gate) else op._replace(qubits=slots)
-                                      for op, slots in reduced)) for *_, width, reduced in cones]
+            cones = wire_cones(build, noise)
             runs.clear()
             values, _ = run_enumerated_exact(build.circuit, build.cuts, obs, noise)
-            assert len(runs) == len(set(programs)) == distinct, (variant, steps)
+            assert len(runs) == len(set(cones)) == distinct, (variant, steps)
             alone = [0.0] * len(obs)
-            for (support, indices, width, _), (_, program) in zip(cones, programs):
-                rho = real(DensityMatrix.zero(width), list(program), noise)
-                for i in indices:
+            for q, (width, ops) in enumerate(cones):
+                rho = real(DensityMatrix.zero(width), ops, noise)
+                for i in (q, n + q, 2 * n + q):  # X, Y and Z of wire q
                     alone[i] = expectation(rho, PauliObservable.single(width, 0, "XYZ"[i // n]))
             assert values == alone, (variant, steps)
 
     def test_estimate_keeps_small_rings_on_the_full_run(self, monkeypatch):
-        cone_runs = []
-        real = qpd._evaluate_cones
-        monkeypatch.setattr(qpd, "_evaluate_cones", lambda *a: cone_runs.append(1) or real(*a))
+        widths = []
+        real = qpd._evaluate
+        monkeypatch.setattr(qpd, "_evaluate", lambda runs, *a: widths.append([w for w, *_ in runs]) or real(runs, *a))
         variants = ("routed_original", "vtqg", "vtqg_pet")
         configs = [(n, 1, v) for n in (4, 6, 8) for v in variants] + [(6, 2, v) for v in variants[1:]]
+        on_cones = []
         for n, steps, variant in configs:
             build = build_trotter_circuit(TfimParams(n, 0.786, 0.787, 0.5, steps), variant)
+            widths.clear()
             run_enumerated_exact(build.circuit, build.cuts, bloch_observables(n), NoiseModel())
-        assert len(cone_runs) == 3  # the three n = 8 calls only
+            (run_widths,) = widths
+            if max(run_widths) < n:
+                on_cones.append((n, variant))
+            else:
+                assert run_widths == [n]  # the full run, alone
+        assert on_cones == [(8, v) for v in variants]  # the three n = 8 calls only
 
     def test_measurements_take_the_full_run(self):
         circuit = Circuit(11, 1, (rx(0.3, 0), measure_z(0, 0)))
@@ -689,6 +702,15 @@ class TestExactPlan:
         monkeypatch.setattr(qpd, "DENSITY_QUBIT_CAP", 2)
         with pytest.raises(ResourceLimitError, match="spans 3 qubits, which exceeds density cap 2"):
             run_enumerated_exact(build.circuit, build.cuts, bloch_observables(n), NoiseModel())
+
+    @pytest.mark.parametrize("n", [6, 12])  # the full run at the default cap, then past it
+    def test_no_observables_evolve_nothing(self, n, monkeypatch):
+        runs = []
+        real = qpd._evolve
+        monkeypatch.setattr(qpd, "_evolve", lambda *a: runs.append(1) or real(*a))
+        build = build_trotter_circuit(TfimParams(n, 0.786, 0.787, 0.5, 1), "vtqg")
+        assert run_enumerated_exact(build.circuit, build.cuts, [], NoiseModel()) == ([], 10)
+        assert runs == []
 
     @pytest.mark.parametrize("n", [4, 8])
     def test_a_repeated_call_evolves_its_densities_again(self, n, monkeypatch):

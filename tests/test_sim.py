@@ -146,6 +146,13 @@ class TestDensity:
         with pytest.raises(ResourceLimitError):
             run_density(Circuit(11))
 
+    def test_gates_off_the_state_raise_naming_the_gate(self):
+        state = DensityMatrix.zero(2)
+        for gate, named in [(rx(0.7, -1), "RX"), (x(5), "X"), (cnot(0, 7), "CNOT"),
+                            (measure_z(0, -1), "MEASURE_Z"), (classically_controlled(x(1), -2), "CLASSICALLY_CONTROLLED")]:
+            with pytest.raises(ValueError, match=f"^{named} on"):
+                apply_gates_density(state, [h(0), gate])
+
     def test_initial_state_continuation(self):
         first = run_density(Circuit(2, 0, (h(0),)))
         second = apply_gates_density(first, [cnot(0, 1)])
