@@ -487,9 +487,9 @@ def run_enumerated_exact(circuit: Circuit, cuts, observables: list[PauliObservab
     distinct support run on that support's light cone instead, one run per
     distinct cone program, when the cones are estimated cheaper or the
     circuit is past the density cap, which then applies to each cone.  Either
-    way the observables of one support are read from its marginal, traced out
-    once.  Returns the values and the number of term combinations the sum
-    covers, 10^m.
+    way each run's observables are read in one `sim.expectations` call.
+    Returns the values and the number of term combinations the sum covers,
+    10^m.
     """
     observables = tuple(observables)
     count, runs = _exact_plan(circuit, tuple(cuts), observables, noise, DENSITY_QUBIT_CAP)

@@ -8,8 +8,9 @@ row axis q and column axis n+q.
 Density matrices are carried with their raw trace and nothing here ever
 renormalizes.  Expectation values are likewise raw traces, which keeps the
 whole pipeline linear in the state.  `expectations` is the one reader of
-observables, for both kinds of state: it reads every Pauli string on the
-marginal of its support, taken once per support.
+observables, for both kinds of state: `pauli.means` reads every Pauli string
+of a call as one signed sum over the state's entries (c, c XOR x), x the
+string's X/Y mask, from one gather per distinct mask.
 
 Every dense operator, in every engine, is a 2^k x 2^k matrix on k axes of a
 state tensor, applied by a kernel from one builder, `_matrix_kernel`, which
@@ -67,11 +68,12 @@ import functools
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
+from . import pauli
 from .circuit import Circuit, Gate, GateKind
 from .errors import ResourceLimitError, StatevectorModeError
 
@@ -83,12 +85,6 @@ _MAT_1Q = {
     GateKind.X: np.array([[0, 1], [1, 0]], dtype=complex),
     GateKind.SX: 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]], dtype=complex),
     GateKind.H: _SQ2 * np.array([[1, 1], [1, -1]], dtype=complex),
-}
-_PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
 
@@ -385,7 +381,10 @@ def _evolve(state: DensityMatrix, ops, noise) -> DensityMatrix:
 def apply_gates_density(state: DensityMatrix, gates, noise=None) -> DensityMatrix:
     """Evolve a density matrix through gates under an optional noise model; feedback sees only this call's bits.
 
-    A gate on a qubit outside [0, n) or on a negative classical bit raises ValueError naming it.
+    A gate on a qubit outside [0, n) or on a negative classical bit raises
+    ValueError naming it.  The m distinct bits the gates name are renumbered
+    0..m-1 first, so the classical register holds m bits however large their
+    indices.
     """
     gates, n = tuple(gates), state.n_qubits
     for g in gates:
@@ -393,6 +392,8 @@ def apply_gates_density(state: DensityMatrix, gates, noise=None) -> DensityMatri
             raise ValueError(f"{g.kind.value} on qubits {g.qubits}: qubits must be in [0, {n})")
         if g.clbit is not None and g.clbit < 0:
             raise ValueError(f"{g.kind.value} on classical bit {g.clbit}: classical bits must be non-negative")
+    bits = {b: i for i, b in enumerate(dict.fromkeys(g.clbit for g in gates if g.clbit is not None))}
+    gates = tuple(g if g.clbit is None else replace(g, clbit=bits[g.clbit]) for g in gates)
     return _evolve(state, gates, noise)
 
 
@@ -405,50 +406,49 @@ def run_density(circuit: Circuit, noise=None) -> DensityMatrix:
 
 
 @functools.lru_cache(maxsize=256)
-def _pauli_stack(strings: tuple[str, ...]) -> np.ndarray:
-    """Each string's Kronecker product of letter matrices, stacked; cached and shared, so no caller may write to it."""
-    return np.stack([functools.reduce(np.kron, (_PAULI[ch] for ch in p), np.eye(1)) for p in strings])
+def _observable_terms(observables: tuple[PauliObservable, ...]) -> tuple:
+    """(width, strings, index, weight) of a tuple of observables; cached and shared, so no caller may write to it.
+
+    `width` is the observables' width (None if they differ) and `strings`
+    their distinct Pauli strings.  Row i of `index` and `weight` holds
+    observable i's terms in order; past its last term, `index` points one
+    past the strings (a zero mean) and `weight` is 0.
+    """
+    widths = {obs.n_qubits for obs in observables}
+    strings = tuple(dict.fromkeys(s for obs in observables for s, _ in obs.terms))
+    place = {s: i for i, s in enumerate(strings)}
+    index = np.full((len(observables), max(len(obs.terms) for obs in observables)), len(strings))
+    weight = np.zeros(index.shape)
+    for i, obs in enumerate(observables):
+        for t, (s, w) in enumerate(obs.terms):
+            index[i, t], weight[i, t] = place[s], w
+    return widths.pop() if len(widths) == 1 else None, strings, index, weight
 
 
 def expectations(state: StateVector | DensityMatrix, observables) -> list[float]:
     """<obs> of each observable: a raw trace for a density matrix (no renormalization), <psi|obs|psi> for a vector.
 
-    The observables are grouped by support (0, 1 or more wires), each support's
-    2^k x 2^k marginal is taken once, and each distinct Pauli string is read on
-    it once, as Tr(P . marginal) with P the Kronecker product of the string's
-    letters on the support; a single wire's P is its letter's 2x2 matrix.  The
-    support's strings are read together, by one einsum over their stacked P
-    (each read is the same sum, bit for bit, as a read of that string alone).  A
-    density matrix's marginal is one einsum in which each wire off the support
-    gives its column axis its row axis's label, so all those wires are traced
-    in one call.  A statevector's is the Gram matrix of its amplitudes grouped
-    by the support's index, each entry one pairwise sum, refused past the density cap.
+    Each distinct Pauli string of the call is read once by `pauli.means`: one
+    signed sum over a gather of the state's x-diagonal, with one gather per
+    X/Y mask, tables compiled once per (strings, width, kind), and nothing
+    larger than 2^20 entries, so a 16-qubit vector reads any string.  A
+    string's value is the same, bit for bit, whichever strings it is read
+    with.  An observable's value is its weighted terms added in order, from
+    the term tables of the observables tuple, also compiled once and cached.
     """
+    observables = tuple(observables)
+    if not observables:
+        return []
+    width, strings, index, weight = _observable_terms(observables)
     n = state.n_qubits
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, obs in enumerate(observables):
-        if obs.n_qubits != n:
-            raise ValueError(f"observable on {obs.n_qubits} qubits, state on {n}")
-        groups.setdefault(obs.support, []).append(i)
-    values = [0.0] * len(observables)
-    for support, indices in groups.items():
-        k = len(support)
-        if isinstance(state, StateVector):
-            if k > DENSITY_QUBIT_CAP:  # the marginal is a k-qubit density matrix
-                raise ResourceLimitError(f"the marginal on qubits {list(support)} spans {k} qubits, "
-                                         f"which exceeds density cap {DENSITY_QUBIT_CAP}")
-            blocks = np.moveaxis(state.amps.reshape([2] * n), support, range(k)).reshape(2**k, -1)
-            marginal = np.array([[np.sum(a * b.conj()) for b in blocks] for a in blocks])
-        else:
-            columns = [n + q if q in support else q for q in range(n)]
-            kept = [*support, *(n + q for q in support)]
-            marginal = np.einsum(state.tensor(), [*range(n), *columns], kept).reshape(2**k, 2**k)
-        strings = tuple(dict.fromkeys("".join(s[q] for q in support)
-                                      for i in indices for s, _ in observables[i].terms))
-        read = dict(zip(strings, np.einsum("pij,ji->p", _pauli_stack(strings), marginal).real.tolist()))
-        for i in indices:
-            values[i] = sum(w * read["".join(s[q] for q in support)] for s, w in observables[i].terms)
-    return values
+    if width != n:
+        bad = next(obs for obs in observables if obs.n_qubits != n)
+        raise ValueError(f"observable on {bad.n_qubits} qubits, state on {n}")
+    means = pauli.means(state.mat if isinstance(state, DensityMatrix) else state.amps, n, strings)
+    values = 0.0 + weight[:, 0] * means[index[:, 0]]  # term by term from 0, as Python's sum adds them
+    for t in range(1, index.shape[1]):
+        values += weight[:, t] * means[index[:, t]]
+    return values.tolist()
 
 
 def expectation(state: StateVector | DensityMatrix, obs: PauliObservable) -> float:

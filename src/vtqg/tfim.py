@@ -125,7 +125,7 @@ def pauli_components(state: StateVector | DensityMatrix,
                      layout: Layout | None = None) -> tuple[list[float], list[float], list[float]]:
     """Per-qubit <X>, <Y>, <Z> in logical order (read through `layout` if routed).
 
-    A wire's three values come from its one 2x2 marginal (see `sim.expectations`).
+    All 3n values are read in one `sim.expectations` call, which shares a gather between X and Y of a wire.
     """
     n = state.n_qubits
     values = expectations(state, bloch_observables(n))

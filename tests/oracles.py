@@ -1,8 +1,9 @@
 """Independent dense-matrix references used to pin expected values.
 
-Everything here is built from raw kron products and scipy matrix exponentials,
-deliberately sharing no code with the package's tensor kernels, so the two
-paths can check each other.
+Everything here is built from raw kron products, 2x2 letter matrices applied
+one tensor axis at a time, and scipy matrix exponentials, deliberately sharing
+no code with the package's tensor kernels, so the two paths can check each
+other.
 """
 
 import itertools
@@ -172,13 +173,19 @@ def random_density(n, rng):
 
 
 def pauli_expectation(state, string):
-    """Tr(P rho) for a density matrix, <psi|P|psi> for a vector, with P the kron of the string's letters."""
-    p = np.eye(1)
-    for ch in string:
-        p = np.kron(p, {"I": I2, "X": X, "Y": Y, "Z": Z}[ch])
+    """Tr(P rho) for a density matrix, <psi|P|psi> for a vector, with P the string's letters, each on its own axis.
+
+    Each letter's 2x2 matrix acts on its qubit's axis of the state tensor (a
+    density matrix's row axis), so the full 2^n x 2^n matrix of P is never built.
+    """
+    n = len(string)
+    out = state.reshape([2] * (n if state.ndim == 1 else 2 * n))
+    for q, ch in enumerate(string):
+        if ch != "I":
+            out = np.moveaxis(np.tensordot({"X": X, "Y": Y, "Z": Z}[ch], out, axes=([1], [q])), 0, q)
     if state.ndim == 1:
-        return float(np.vdot(state, p @ state).real)
-    return float(np.trace(p @ state).real)
+        return float(np.vdot(state, out.reshape(-1)).real)
+    return float(np.trace(out.reshape(state.shape)).real)
 
 
 def random_hermitian(n, rng):

@@ -464,19 +464,21 @@ def ring(n, steps=1):
 # sha256 of the --stable-timing CSV of each config.  The sampling digests were
 # recorded when the stream seeds became packed (repetition seed, variant,
 # fragment, basis) fields: stream seeds, fragment order and every shot must stay
-# as they were.  The exact digests were recorded before exact evaluation was
-# compiled into cached plans: light cones (n = 8) and the full run with two
-# cuts (n = 6) must keep every bit.
+# as they were.  The exact digests, and the grouped one, whose `ideal` column
+# moved, were recorded when every Pauli mean became one signed sum over a
+# gather of the state's x-diagonal (every cell within 1.2e-16 of the marginal
+# reads before it): light cones (n = 8) and the full run with two cuts (n = 6)
+# must keep every bit.
 PINNED_CSVS = {
     "exact_n8": (dict(params=ring(8), repetitions=2, seed=1),
-                 "c7becc3da3f4a51ccb6bd8905317202fda188f942ed41073658bdc70794f1990"),
+                 "34e9a32e2f1f7a0c4efba6c2c2cf47d7682cb164acbf2eb2059f54e86ca4b41d"),
     "exact_n6_two_cuts_reset_readout": (
         dict(params=ring(6, 2), variants=("vtqg", "vtqg_pet"), repetitions=1,
              noise=NoiseModel(reset_error=0.01, readout_flip=0.05)),
-        "2e3361c2555cfcebe7623b6a9453ac8f5a2d4473ea1caf6b75f207050c955063"),
+        "b9fe41191dfd1456c63c25f1742feeffa090a2de2951d58931a8df661a868db2"),
     "grouped_per_fragment_n6": (
         dict(params=ring(6), mode="sampling", shots=64, repetitions=2, seed=11),
-        "2e4fa8aef36d94e227e814ddd16b0ec3956766cdacf42a171df986a855f059fe"),
+        "a0912830665eb8fd87073195f0a606676954b65eda5ab2285b342a4d8b93edf9"),
     "enumerated_proportional_readout": (
         dict(params=ring(4), mode="sampling", shots=3000, repetitions=2, seed=5, sampling_strategy="enumerated",
              shot_allocation="proportional", noise=NoiseModel(readout_flip=0.05, reset_error=0.01)),

@@ -22,7 +22,7 @@ from vtqg.circuit import (
     x,
 )
 from vtqg.errors import InvalidCircuitError, ResourceLimitError, StatevectorModeError
-from vtqg import sim
+from vtqg import pauli, sim
 from vtqg.noise import NoiseModel, depolarize
 from vtqg.sim import (
     _BLOCK_AMPLITUDES,
@@ -153,6 +153,21 @@ class TestDensity:
             with pytest.raises(ValueError, match=f"^{named} on"):
                 apply_gates_density(state, [h(0), gate])
 
+    def test_a_large_classical_bit_allocates_no_register_of_that_size(self):
+        # the bits a call names are renumbered from 0, so bit 10^6 costs what bit 0 does
+        state, expected = DensityMatrix.zero(1), apply_gates_density(DensityMatrix.zero(1), [h(0), measure_z(0, 0)])
+        tracemalloc.start()
+        try:
+            out = apply_gates_density(state, [h(0), measure_z(0, 10**6), classically_controlled(x(0), 10**6)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        fed_back = apply_gates_density(state, [h(0), measure_z(0, 0), classically_controlled(x(0), 0)])
+        assert np.array_equal(out.mat, fed_back.mat)
+        big = apply_gates_density(state, [h(0), measure_z(0, 10**6)])
+        assert np.array_equal(big.mat, expected.mat)
+
     def test_initial_state_continuation(self):
         first = run_density(Circuit(2, 0, (h(0),)))
         second = apply_gates_density(first, [cnot(0, 1)])
@@ -267,13 +282,74 @@ class TestExpectation:
                 assert np.max(np.abs(np.array(values) - expected)) < 1e-12
                 assert values == [expectation(state, o) for o in obs]  # one call and one at a time agree bit for bit
 
-    def test_statevector_support_past_the_density_cap_raises(self):
-        # the support's marginal is an 11-qubit density matrix; it is refused before it is built
+    def test_reads_match_the_oracle_at_every_width(self):
+        # densities at n = 1-10 and vectors at n = 1-12; identity-only and Y-heavy strings, and strings
+        # repeated within and across observables, all read in one call
+        rng = np.random.default_rng(37)
+        for n in range(1, 13):
+            pool = ["I" * n, "Y" * n] + ["".join(rng.choice(list(letters), size=n)) for letters in ("YYYX", "YYZI")]
+            pool += ["".join(rng.choice(list("IXYZ"), size=n)) for _ in range(6)]
+            obs = [PauliObservable((("I" * n, 0.5),))]
+            obs += [PauliObservable(tuple((pool[j], float(rng.normal())) for j in rng.choice(len(pool), size=3)))
+                    for _ in range(8)]
+            psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+            states = [(psi / np.linalg.norm(psi), StateVector)]
+            if n <= 10:
+                states.append((oracles.random_density(n, rng), DensityMatrix))
+            for dense, kind in states:
+                values = expectations(kind(n, dense), obs)
+                expected = [sum(w * oracles.pauli_expectation(dense, s) for s, w in o.terms) for o in obs]
+                assert np.max(np.abs(np.subtract(values, expected))) < 1e-13, (n, kind.__name__)
+
+    def test_an_11_qubit_string_reads_in_bounded_memory(self):
+        # a string on all 11 wires reads as any other: no 2^11 x 2^11 marginal is built
         rng = np.random.default_rng(31)
         psi = rng.normal(size=2**11) + 1j * rng.normal(size=2**11)
         psi /= np.linalg.norm(psi)
-        with pytest.raises(ResourceLimitError, match=r"qubits \[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10\] spans 11"):
-            expectation(StateVector(11, psi), PauliObservable((("Z" * 11, 1.0),)))
+        strings = ("Z" * 11, "XYZXYZXYZXY")
+        obs = [PauliObservable(((s, 1.0),)) for s in strings]
+        tracemalloc.start()
+        try:
+            values = expectations(StateVector(11, psi), obs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert values == pytest.approx([oracles.pauli_expectation(psi, s) for s in strings], abs=1e-13)
+
+    def test_a_16_qubit_bloch_read_stays_within_the_block_budget(self):
+        n = 16
+        rng = np.random.default_rng(41)
+        psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        psi /= np.linalg.norm(psi)
+        state, obs = StateVector(n, psi), sim.bloch_observables(n)
+        tracemalloc.start()
+        try:
+            values = expectations(state, obs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(obs) == 48 and peak < 16 * 2**20
+        for q in (0, 7, 8, 15):
+            for j, letter in enumerate("XYZ"):
+                string = "".join(letter if k == q else "I" for k in range(n))
+                assert values[j * n + q] == pytest.approx(oracles.pauli_expectation(psi, string), abs=1e-13)
+
+    def test_no_cached_reader_holds_more_than_a_mebibyte(self):
+        rng = np.random.default_rng(43)
+        for n in (8, 10, 12, 16):
+            bloch = tuple(o.terms[0][0] for o in sim.bloch_observables(n))
+            wide = tuple(dict.fromkeys("".join(rng.choice(list("IXYZ"), size=n)) for _ in range(pauli._READ_BLOCK)))
+            for strings in (bloch, wide):
+                for start in range(0, len(strings), pauli._READ_BLOCK):  # the blocks a read compiles
+                    block = strings[start:start + pauli._READ_BLOCK]
+                    for density in (False, True):
+                        tables = [a for chunk in pauli._reader(block, n, density) for a in chunk]
+                        assert sum(a.nbytes for a in tables) < 2**20, (n, start, density)
+
+    def test_parity_needs_no_bit_count(self):
+        v = np.arange(1 << 16)
+        assert pauli._parity(v).tolist() == [bin(k).count("1") % 2 for k in range(1 << 16)]
 
 
 def pauli_on(n, qubit, mat):
@@ -353,7 +429,7 @@ class TestDepolarizeKernel:
         rng = np.random.default_rng(17)
         a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         rho = a @ a.conj().T / np.trace(a @ a.conj().T)
-        paulis = [sim._PAULI[ch] for ch in "IXYZ"]
+        paulis = [oracles.I2, oracles.X, oracles.Y, oracles.Z]
         twirl = np.zeros_like(rho)
         for letters in itertools.product(paulis, repeat=len(qubits)):
             op = np.eye(8)
