@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import numbers
 import time
 from dataclasses import asdict, dataclass, field
@@ -28,7 +29,7 @@ from .errors import ResourceLimitError
 from .noise import NoiseModel
 from .qpd import build_enumerated_fragments, build_grouped_fragments, run_enumerated_exact
 from .sim import FragmentRun, bloch_observables, sample_fragments
-from .tfim import TfimParams, TrotterBuild, build_trotter_circuit, exact_reference, magnetization
+from .tfim import TfimParams, TrotterBuild, build_trotter_circuit, exact_reference
 
 RUN_VARIANTS = ("routed_original", "vtqg", "vtqg_pet")
 MODES = ("exact", "sampling")
@@ -173,9 +174,10 @@ def _execute_sampling(build: TrotterBuild, config: ExperimentConfig, seed_rep: i
         else:
             shots = config.shots
         seeds = [_stream_seed(seed_rep, variant_index, k, j) for j in range(3)]
-        runs.append(FragmentRun(frag.circuit, shots, seeds, bases, frag.insertions))
+        runs.append(FragmentRun(frag.inserted, shots, seeds, bases))
     acc = [np.zeros(n) for _ in range(3)]
-    for frag, per_basis in zip(fragments, sample_fragments(runs, noise)):
+    positions = sorted(cut.position for cut in build.cuts)
+    for frag, per_basis in zip(fragments, sample_fragments(build.circuit, positions, runs, noise)):
         for j, outcomes in enumerate(per_basis):
             acc[j] += frag.weight * _signed_qubit_means(outcomes, frag.keep_rules)
     return [list(a) for a in acc], len(fragments)
@@ -207,7 +209,7 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRecord]:
                 variant=variant,
                 n_qubits=params.n_qubits,
                 repetition=rep,
-                mag=magnetization(*comps),
+                mag=math.sqrt(sx * sx + sy * sy + sz * sz),
                 sx=sx, sy=sy, sz=sz,
                 ideal=ideal,
                 fragments=nfrag,

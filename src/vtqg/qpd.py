@@ -466,11 +466,11 @@ def _exact_plan(circuit: Circuit, cuts: tuple, observables: tuple, noise, cap: i
     return math.prod(len(ts) for ts in term_lists), runs
 
 
-def _evaluate(runs: list[tuple], observables, noise) -> list[float]:
+def _evaluate(runs: list[tuple], observables) -> list[float]:
     """Each observable read from the density run that holds it; every call evolves every run again."""
     values = [0.0] * len(observables)
     for width, steps, indices, local in runs:
-        for i, value in zip(indices, expectations(_evolve(DensityMatrix.zero(width), steps, noise), local)):
+        for i, value in zip(indices, expectations(_evolve(DensityMatrix.zero(width), steps, None), local)):
             values[i] = value
     return values
 
@@ -493,7 +493,7 @@ def run_enumerated_exact(circuit: Circuit, cuts, observables: list[PauliObservab
     """
     observables = tuple(observables)
     count, runs = _exact_plan(circuit, tuple(cuts), observables, noise, DENSITY_QUBIT_CAP)
-    return _evaluate(runs, observables, noise), count
+    return _evaluate(runs, observables), count
 
 
 # The most cuts a fragment builder takes: m cuts make 6^m grouped or 10^m
@@ -509,15 +509,14 @@ class SampledFragment:
     lists (clbit, required value) pairs: shots whose mid-circuit outcomes
     disagree contribute zero (that realizes a one-sided projector).
     `options` holds the option chosen at each cut, in cut order, and
-    `insertions` the (position in the cut circuit, count) of the gates it
-    inserted there, the form `sim.sample_fragments` takes.
+    `inserted` the gates it inserts there, the form `sim.FragmentRun` takes.
     """
 
     weight: float
     circuit: Circuit
     keep_rules: tuple[tuple[int, int], ...] = ()
     options: tuple[CutOption, ...] = ()
-    insertions: tuple[tuple[int, int], ...] = ()
+    inserted: tuple[tuple[Gate, ...], ...] = ()
 
 
 def _build_fragments(circuit: Circuit, cuts, options_for) -> list[SampledFragment]:
@@ -539,12 +538,11 @@ def _build_fragments(circuit: Circuit, cuts, options_for) -> list[SampledFragmen
             gates, cut_keeps = option.realize(cut.qubit_a, cut.qubit_b, k)
             weight *= option.weight
             keeps += cut_keeps
-            per_cut.append(gates)
+            per_cut.append(tuple(gates))
         out = circuit
         for cut, gates in reversed(list(zip(cuts, per_cut))):  # back to front keeps positions valid
             out = out.with_inserted(cut.position, gates, n_clbits=n_clbits)
-        insertions = tuple((cut.position, len(gates)) for cut, gates in zip(cuts, per_cut))
-        fragments.append(SampledFragment(weight, out, tuple(keeps), combo, insertions))
+        fragments.append(SampledFragment(weight, out, tuple(keeps), combo, tuple(per_cut)))
     return fragments
 
 

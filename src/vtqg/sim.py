@@ -33,12 +33,13 @@ tensor with one column per distinct history as its trailing axis,
 operator acts on every history at once.  All shots start in one
 column; a column splits, in one routine, only where its shots diverge (a
 cut's label, the Pauli a noise event drew, a measurement or reset outcome),
-so a block never holds more columns than shots.  `sample_fragments` runs
-the shots of every fragment of a cut circuit, each in several (seed, basis)
-pairs, in one pass: they share columns through the gates all fragments have
-in common, split at each cut by the label of the gates their fragments
-insert there, which each column keeps in a cut-label register, and split
-last by basis, just before the basis rotations.  An inserted sequence acts
+so a block never holds more columns than shots.  `sample_fragments` takes
+a cut circuit, the positions of its cuts and the gates each fragment inserts
+at each cut, and runs the shots of every fragment, each in several (seed,
+basis) pairs, in one pass: they share columns through the cut circuit's
+gates, split at each cut by the label of the gates their fragments insert
+there, which each column keeps in a cut-label register, and split last by
+basis, just before the basis rotations.  An inserted sequence acts
 on the columns whose label matches, as a classically controlled gate acts on
 those whose bit reads 1, and the shared gates after the cut on every column.
 `sample_shots` is its one-fragment, one-basis case.  Every random
@@ -65,7 +66,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -163,11 +163,6 @@ def _apply_matrix(tensor: np.ndarray, mat: np.ndarray, axes) -> np.ndarray:
 
 _PROJECT = (np.diag([1.0, 0.0, 0.0, 0.0]), np.diag([0.0, 0.0, 0.0, 1.0]))  # rho -> P_o rho P_o
 _RESET = np.array([[1.0, 0.0, 0.0, 1.0], [0.0] * 4, [0.0] * 4, [0.0] * 4])  # rho -> |0><0| Tr rho
-
-
-def _apply_superop(rho_t: np.ndarray, superop: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
-    """rho' = S rho, S 4^k x 4^k indexed by the row bits, then the column bits, of `qubits` in their order."""
-    return _apply_matrix(rho_t, superop, [*qubits, *(n + q for q in qubits)])
 
 
 @functools.lru_cache(maxsize=256)
@@ -529,7 +524,8 @@ def _gate_kernel(g: Gate, n: int):
 
     The gate's matrix or diagonal is built here, once, and reused by every
     block and basis of a call; a dense gate's kernel (its path and axis
-    orders, see `_matrix_kernel`) is built again on every application.
+    orders, see `_matrix_kernel`) is built again on every application, which
+    costs nothing measurable: a block applies each step's kernel at most once.
     """
     diag = _gate_diagonal(g)
     if diag is not None:
@@ -624,20 +620,17 @@ def _apply_paulis(psi: np.ndarray, qubits, codes: np.ndarray) -> np.ndarray:
 class FragmentRun(NamedTuple):
     """One fragment's shots in a `sample_fragments` pass, in one (seed, basis) pair per entry of `seeds` and `bases`.
 
-    `insertions` lists (position, count) for each cut in circuit order: the
-    fragment is a shared circuit with `count` gates inserted before that
-    circuit's gate `position`.  A circuit sampled on its own has none.
+    `inserted[k]` lists the gates the fragment inserts at cut k, before the cut circuit's gate `positions[k]`.
     """
 
-    circuit: Circuit
+    inserted: tuple[tuple[Gate, ...], ...]
     n_shots: int
     seeds: tuple[int, ...]
     bases: tuple[str, ...]
-    insertions: tuple[tuple[int, int], ...] = ()
 
 
 class _Program(NamedTuple):
-    """The steps of a pass: the shared gates once, then at each cut each distinct inserted sequence once.
+    """The steps of a pass: the cut circuit's gates once, then at each cut each distinct inserted sequence once.
 
     Step i runs gate i of `circuit`.  The draw-slot table gate_index[i, r]
     is that gate's index in run r's own fragment, whose draw slots it reads
@@ -655,54 +648,43 @@ class _Program(NamedTuple):
     gate_index: np.ndarray
 
 
-def _fragment_program(runs: list[FragmentRun]) -> _Program:
-    """Merge the runs' circuits, which must be one shared circuit with gates inserted at the same positions."""
-    first = runs[0].circuit
-    positions = [p for p, _ in runs[0].insertions]
-    shared, pieces = None, []
-    for run in runs:
-        gates, at, done, own, rest = run.circuit.gates, 0, 0, [], []
-        if (run.circuit.n_qubits, run.circuit.n_clbits) != (first.n_qubits, first.n_clbits):
-            raise ValueError("every fragment needs the same qubits and classical bits")
-        if [p for p, _ in run.insertions] != positions:
-            raise ValueError("every fragment needs the same insertion positions")
-        for p, count in run.insertions:
-            start = at + p - done  # the inserted gates' first index in this fragment
-            if count < 0 or p < done or start + count > len(gates):
-                raise ValueError(f"insertion ({p}, {count}) does not fit the fragment")
-            rest.append(gates[at:start])
-            own.append(gates[start:start + count])
-            at, done = start + count, p
-        base = tuple(itertools.chain(*rest, gates[at:]))
-        if shared is None:
-            shared = base
-        elif base != shared:
-            raise ValueError("fragments differ outside their insertions")
-        pieces.append(own)
+def _fragment_program(circuit: Circuit, positions: list[int], runs: list[FragmentRun]) -> _Program:
+    """Merge the runs' fragments of `circuit`, whose cuts are at `positions`.
+
+    The classical register is the circuit's, widened to the highest bit an
+    inserted gate names.  Each fragment must be a valid `Circuit` on its
+    own: a classically controlled gate may read only bits its own fragment
+    writes first.
+    """
+    named = [g.clbit for run in runs for piece in run.inserted for g in piece if g.clbit is not None]
+    n_clbits = max(circuit.n_clbits, 1 + max(named, default=-1))
     steps, group, splits, gate_index = [], [], {}, []
-    inserted = np.zeros(len(runs), dtype=np.intp)  # the gates each run inserted at the cuts passed so far
+    offset = np.zeros(len(runs), dtype=np.intp)  # the gates each run inserted at the cuts passed so far
 
     def add(gates, first_index, tag):
         steps.extend(gates)
         group.extend([tag] * len(gates))
-        gate_index.extend(inserted + j for j in range(first_index, first_index + len(gates)))
+        gate_index.extend(offset + j for j in range(first_index, first_index + len(gates)))
 
     labels = np.zeros((len(positions), len(runs)), dtype=np.intp)
     done = 0
     for k, p in enumerate(positions):
-        add(shared[done:p], done, None)
+        add(circuit.gates[done:p], done, None)
         distinct = {}
-        for r, own in enumerate(pieces):
-            labels[k, r] = distinct.setdefault(own[k], len(distinct))
+        for r, run in enumerate(runs):
+            labels[k, r] = distinct.setdefault(run.inserted[k], len(distinct))
         if len(distinct) > 1:
             splits[len(steps)] = k
         for piece, label in distinct.items():
             add(piece, p, (k, label) if len(distinct) > 1 else None)
-        inserted = inserted + [len(own[k]) for own in pieces]
+        offset = offset + [len(run.inserted[k]) for run in runs]
         done = p
-    add(shared[done:], done, None)
-    circuit = first if tuple(steps) == first.gates else Circuit(first.n_qubits, first.n_clbits, tuple(steps))
-    return _Program(circuit, group, splits, labels, np.array([*gate_index, inserted + len(shared)]))
+    add(circuit.gates[done:], done, None)
+    for own in labels.T.tolist():  # each fragment's own circuit, which raises if it is not valid
+        gates = [g for g, tag in zip(steps, group) if tag is None or own[tag[0]] == tag[1]]
+        Circuit(circuit.n_qubits, n_clbits, gates)
+    merged = Circuit(circuit.n_qubits, n_clbits, steps)
+    return _Program(merged, group, splits, labels, np.array([*gate_index, offset + len(circuit.gates)]))
 
 
 def _draw_chunk(program: _Program, keys: np.ndarray, run: np.ndarray, strengths, present, start: int):
@@ -860,52 +842,55 @@ class Shots:
     sign: np.ndarray
 
 
-def _checked_run(circuit: Circuit, n_shots, seeds, bases, insertions=()) -> FragmentRun:
-    """A run's fields checked, as plain Python values."""
+def _checked_run(inserted, n_shots, seeds, bases, n: int, cuts: int) -> FragmentRun:
+    """A run's fields checked, as plain Python values, for a circuit of n qubits with `cuts` cuts."""
     if isinstance(n_shots, bool) or not isinstance(n_shots, numbers.Integral):
         raise ValueError(f"n_shots must be an integer, got {n_shots!r}")
     if n_shots < 1:
         raise ValueError("n_shots must be positive")
+    inserted = tuple(tuple(piece) for piece in inserted)
+    if len(inserted) != cuts:
+        raise ValueError(f"need one inserted gate sequence per cut, got {len(inserted)} for {cuts} cuts")
     seeds, bases = list(seeds), list(bases)
     if not bases or len(seeds) != len(bases):
         raise ValueError(f"need one seed per basis and at least one of each, got {len(seeds)} and {len(bases)}")
     for seed in seeds:
         if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
             raise ValueError("seed must be a non-negative integer")
-    n = circuit.n_qubits
-    if n > STATEVECTOR_QUBIT_CAP:  # every column holds 2^n amplitudes
-        raise ResourceLimitError(f"{n} qubits exceeds statevector cap {STATEVECTOR_QUBIT_CAP}")
     bases = tuple(str(basis) for basis in bases)
     for basis in bases:
         if len(basis) != n or any(ch not in "XYZ" for ch in basis):
             raise ValueError(f"basis must be one of X/Y/Z per qubit, got {basis!r}")
     # _seed_keys needs Python's unbounded integers
-    return FragmentRun(circuit, int(n_shots), tuple(int(seed) for seed in seeds), bases,
-                       tuple((int(p), int(count)) for p, count in insertions))
+    return FragmentRun(inserted, int(n_shots), tuple(int(seed) for seed in seeds), bases)
 
 
-def sample_fragments(runs, noise=None):
+def sample_fragments(circuit: Circuit, positions, runs, noise=None):
     """Sample the fragments of one cut circuit, each in one or more (seed, basis) pairs, in one pass.
 
-    `runs` holds one `FragmentRun` (or its fields) per fragment: every
-    fragment is the same shared circuit with gates inserted at the same
-    positions, which its `insertions` name.  Yields one list of `Shots` per
-    run, one per pair, in run order, as soon as its shots are done.  Each is
-    equal bit for bit to `sample_shots(run.circuit, run.n_shots, seed, basis,
-    noise)`: no other run or pair in the pass changes a shot.  The shots of
-    every (run, seed, basis) triple run as one sequence of blocks.  They
-    share state columns through the shared gates; at each cut the columns
-    split by the gates their runs insert there, each inserted sequence acts
-    only on its own columns, and the shared gates after the cut act on every
-    column at once.  A shot reads its draws from its own fragment's gate
-    slots.  Each step's operator is built once for the pass, and a block's
-    shots are handed out as their runs finish, so memory stays bounded at
-    any number of runs.
+    `positions` are the ascending gate indices of the circuit's cuts, and
+    `runs` holds one `FragmentRun` (or its fields) per fragment: `circuit`
+    with the gates `inserted[k]` before its gate `positions[k]`.  Yields one
+    list of `Shots` per run, one per pair, in run order, as soon as its
+    shots are done.  Each equals bit for bit `sample_shots` of the
+    fragment's own circuit with that seed and basis.  The shots of every
+    (run, seed, basis) triple run as one sequence of blocks: they share
+    state columns through the circuit's gates, at each cut the columns split
+    by the gates their runs insert there, and each inserted sequence acts
+    only on its own columns.  A shot reads its draws from its own
+    fragment's gate slots.  Each step's operator is built once for the
+    pass, and a block's shots are handed out as their runs finish, so
+    memory stays bounded at any number of runs.
     """
-    runs = [_checked_run(*run) for run in runs]
+    if circuit.n_qubits > STATEVECTOR_QUBIT_CAP:  # every column holds 2^n amplitudes
+        raise ResourceLimitError(f"{circuit.n_qubits} qubits exceeds statevector cap {STATEVECTOR_QUBIT_CAP}")
+    positions = [int(p) for p in positions]
+    if positions != sorted(positions) or not all(0 <= p <= len(circuit.gates) for p in positions):
+        raise ValueError(f"cut positions must ascend within the circuit's {len(circuit.gates)} gates: {positions}")
+    runs = [_checked_run(*run, circuit.n_qubits, len(positions)) for run in runs]
     if not runs:
         raise ValueError("need at least one fragment")
-    program = _fragment_program(runs)
+    program = _fragment_program(circuit, positions, runs)
     circuit = program.circuit
     if noise is None or getattr(noise, "is_zero", False):
         strengths, readout_flip = [0.0] * len(circuit.gates), 0.0
@@ -950,7 +935,7 @@ def sample_shots(circuit: Circuit, n_shots: int, seed: int,
     one-fragment, one-basis case of `sample_fragments`.
     """
     basis = "Z" * circuit.n_qubits if basis is None else basis
-    return next(sample_fragments([(circuit, n_shots, [seed], [basis])], noise))[0]
+    return next(sample_fragments(circuit, (), [((), n_shots, [seed], [basis])], noise))[0]
 
 
 def write_shots_csv(shots: Shots, path) -> None:

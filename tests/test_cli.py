@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from vtqg.cli import main
 from vtqg.harness import read_results
@@ -117,6 +120,18 @@ class TestExperiment:
         assert code == 0
         assert read_results(out_path)[0].fragments == 6
         assert "mode=sampling" in out
+
+    # the determinism contract README states: the default exact run and one sampling run, byte for byte
+    @pytest.mark.parametrize("argv, digest", [
+        (("--reps", "20"), "0aa4bad7f443dc0452dd2851addda5f214c6012aa799a602ee8b066f4837e86a"),
+        (("--reps", "3", "--mode", "sampling", "--shots", "512"),
+         "85317a9af0ad6fe174b0852662c0b9f6f07717410bad4021132992bedf149d8d"),
+    ], ids=["exact", "sampling"])
+    def test_stable_output_digest(self, capsys, tmp_path, argv, digest):
+        out_path = tmp_path / "results.csv"
+        code, _, err = run_cli(capsys, "experiment", "--qubits", "8", *argv, "--stable-timing", "--out", str(out_path))
+        assert code == 0, err
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
     def test_invalid_flag_value_errors(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "experiment", "--qubits", "1",

@@ -185,9 +185,9 @@ class TestRunExperiment:
         calls = []
         real = harness_mod.sample_fragments
 
-        def spy(runs, noise=None):
+        def spy(circuit, positions, runs, noise=None):
             calls.append([(run.n_shots, tuple(run.bases)) for run in runs])
-            return real(runs, noise)
+            return real(circuit, positions, runs, noise)
 
         monkeypatch.setattr(harness_mod, "sample_fragments", spy)
         run_experiment(small_config(repetitions=1, mode="sampling", shots=16,
@@ -203,9 +203,9 @@ class TestRunExperiment:
         calls = []
         real = harness_mod.sample_fragments
 
-        def spy(runs, noise=None):
+        def spy(circuit, positions, runs, noise=None):
             calls.append([run.n_shots for run in runs])
-            return real(runs, noise)
+            return real(circuit, positions, runs, noise)
 
         monkeypatch.setattr(harness_mod, "sample_fragments", spy)
         config = small_config(repetitions=1, mode="sampling", shots=6000,
@@ -234,7 +234,7 @@ class TestRunExperiment:
         # at n = 8 exact mode runs light cones; they carry readout_flip as the full run does
         widths = []
         real = qpd._evaluate
-        monkeypatch.setattr(qpd, "_evaluate", lambda runs, *a: widths.append([w for w, *_ in runs]) or real(runs, *a))
+        monkeypatch.setattr(qpd, "_evaluate", lambda runs, obs: widths.append([w for w, *_ in runs]) or real(runs, obs))
         f = 0.2
         noise = NoiseModel(readout_flip=f)
         params = TfimParams(8, 0.786, 0.787, 0.5, 1)

@@ -408,13 +408,13 @@ class TestFragmentPrograms:
     @pytest.mark.parametrize("builder", [build_grouped_fragments, build_enumerated_fragments])
     def test_insertions_name_the_gates_each_fragment_adds(self, builder):
         build = build_trotter_circuit(TfimParams(4, 0.786, 0.787, 0.5, 2), "vtqg")
+        cuts = sorted(build.cuts, key=lambda c: c.position)
         for frag in builder(build.circuit, build.cuts):
-            assert [p for p, _ in frag.insertions] == [c.position for c in build.cuts]
-            gates = list(frag.circuit.gates)
-            for position, count in frag.insertions:  # with the earlier ones removed, it starts at position
-                del gates[position:position + count]
-            assert tuple(gates) == build.circuit.gates
-            assert len(frag.circuit.gates) == len(build.circuit.gates) + sum(c for _, c in frag.insertions)
+            assert len(frag.inserted) == len(cuts)
+            gates = list(build.circuit.gates)
+            for cut, piece in reversed(list(zip(cuts, frag.inserted))):  # back to front keeps positions valid
+                gates[cut.position:cut.position] = piece
+            assert tuple(gates) == frag.circuit.gates
 
     def test_cut_validation(self):
         c = Circuit(2, 0, (rx(0.1, 0),))
@@ -622,7 +622,7 @@ class TestLightCones:
         for steps, rho in enumerate(states, start=1):
             build = build_trotter_circuit(TfimParams(n, 0.786, 0.787, 0.5, steps), variant)
             assert build.circuit.gates == full.circuit.gates[:len(build.circuit.gates)]
-            values = qpd._evaluate(forced_runs(build, obs, noise), obs, noise)
+            values = qpd._evaluate(forced_runs(build, obs, noise), obs)
             assert max(abs(v - expectation(rho, o)) for v, o in zip(values, obs)) < 1e-12, steps
 
     @pytest.mark.parametrize("n", [8, 16, 64])
@@ -661,7 +661,7 @@ class TestLightCones:
     def test_estimate_keeps_small_rings_on_the_full_run(self, monkeypatch):
         widths = []
         real = qpd._evaluate
-        monkeypatch.setattr(qpd, "_evaluate", lambda runs, *a: widths.append([w for w, *_ in runs]) or real(runs, *a))
+        monkeypatch.setattr(qpd, "_evaluate", lambda runs, obs: widths.append([w for w, *_ in runs]) or real(runs, obs))
         variants = ("routed_original", "vtqg", "vtqg_pet")
         configs = [(n, 1, v) for n in (4, 6, 8) for v in variants] + [(6, 2, v) for v in variants[1:]]
         on_cones = []

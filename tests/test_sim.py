@@ -384,7 +384,8 @@ class TestApplyMatrix:
         u = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
         rho = oracles.random_density(n, rng)
         dense = oracles.kron_at(u, qubits[0], n) if k == 1 else oracles.kron_two(u, *qubits, n)
-        out = sim._apply_superop(rho.reshape([2] * (2 * n)), np.kron(u, u.conj()), qubits, n)
+        axes, shape = [*qubits, *(n + q for q in qubits)], (2,) * (2 * n)  # the row axes, then the column axes
+        out = sim._matrix_kernel(np.kron(u, u.conj()), axes, shape)(rho.reshape(shape))
         assert np.max(np.abs(out.reshape(2**n, 2**n) - dense @ rho @ dense.conj().T)) < 1e-13
 
     # a density tensor [2]*6 and a block [2]*4 + [3]; stacked: the (left, 2^k, right) view, else the transposes
@@ -768,7 +769,7 @@ def column_log(monkeypatch):
 
 def sample_pairs(circuit, n_shots, seeds, bases, noise=None):
     """One `Shots` per (seed, basis) pair of one circuit, from a one-run `sample_fragments` pass."""
-    return next(sample_fragments([FragmentRun(circuit, n_shots, seeds, bases)], noise))
+    return next(sample_fragments(circuit, (), [FragmentRun((), n_shots, seeds, bases)], noise))
 
 
 def assert_matches_one_call_per_pair(circuit, n_shots, seeds, noise):
@@ -849,41 +850,41 @@ class TestSampleBases:
 
 
 def trotter_fragments(strategy, steps):
-    """The fragments of the n = 4 vtqg ring: one cut per Trotter step."""
+    """The n = 4 vtqg ring, its cut positions and its fragments: one cut per Trotter step."""
     from vtqg.qpd import build_enumerated_fragments, build_grouped_fragments
     from vtqg.tfim import TfimParams, build_trotter_circuit
 
     build = build_trotter_circuit(TfimParams(n_qubits=4, h=0.786, J=0.787, dt=0.5, n_steps=steps), "vtqg")
     assert len(build.cuts) == steps
     builder = build_grouped_fragments if strategy == "grouped" else build_enumerated_fragments
-    return builder(build.circuit, build.cuts)
+    return build.circuit, sorted(c.position for c in build.cuts), builder(build.circuit, build.cuts)
 
 
 def feedback_fragments():
-    """Enumerated fragments of two cuts on a circuit whose shared gates measure, reset and read
-    the bits the cuts' measurements write."""
+    """Enumerated fragments of two cuts on a circuit whose gates measure, reset and read the bits
+    the cuts' measurements write, with the circuit and its cut positions."""
     from vtqg.qpd import CutSite, build_enumerated_fragments
 
     circuit = feedback_circuit(4)
-    return build_enumerated_fragments(circuit, [CutSite(3, 0, 2, 0.8), CutSite(9, 1, 3, -0.5)])
+    return circuit, [3, 9], build_enumerated_fragments(circuit, [CutSite(3, 0, 2, 0.8), CutSite(9, 1, 3, -0.5)])
 
 
 def fragment_runs(fragments, shots):
     """One run per fragment, shots[k] shots in each of three bases, with seeds of its own."""
     n = fragments[0].circuit.n_qubits
     bases = ["X" * n, "Y" * n, ("XZY" * n)[:n]]
-    return [FragmentRun(f.circuit, shots[k], [40 + 3 * k + j for j in range(3)], bases, f.insertions)
+    return [FragmentRun(f.inserted, shots[k], [40 + 3 * k + j for j in range(3)], bases)
             for k, f in enumerate(fragments)]
 
 
-def assert_matches_one_call_per_fragment(runs, noise):
-    out = list(sample_fragments(runs, noise))
+def assert_matches_one_call_per_fragment(circuit, positions, runs, fragment_circuits, noise):
+    out = list(sample_fragments(circuit, positions, runs, noise))
     assert len(out) == len(runs)
-    for run, per_basis in zip(runs, out):
-        expected = sample_pairs(run.circuit, run.n_shots, run.seeds, run.bases, noise)
+    for run, own, per_basis in zip(runs, fragment_circuits, out):
+        expected = sample_pairs(own, run.n_shots, run.seeds, run.bases, noise)
         assert len(per_basis) == len(expected)
         for got, want in zip(per_basis, expected):
-            assert same_shots(got, want), run.insertions
+            assert same_shots(got, want), run.inserted
     return out
 
 
@@ -891,14 +892,15 @@ MERGE_NOISE = [None, NoiseModel(), NoiseModel(p2=0.3, reset_error=0.05, readout_
 
 
 def controlled_insertion_runs():
-    """Four fragments of one 3-qubit circuit whose inserted gates mix classically controlled and plain gates."""
-    shared = (h(0), measure_z(0, 0), rx(0.3, 1), rzz(0.2, 1, 2), rx(0.7, 2), cnot(1, 2))
+    """A 3-qubit circuit, its one cut, four fragments whose inserted gates mix classically controlled and
+    plain gates, and each fragment's own circuit."""
+    circuit = Circuit(3, 1, (h(0), measure_z(0, 0), rx(0.3, 1), rzz(0.2, 1, 2), rx(0.7, 2), cnot(1, 2)))
     inserted = [(classically_controlled(x(1), 0), rz(0.4, 2)), (rz(0.4, 1),), (),
                 (classically_controlled(rx(0.9, 2), 0),)]
     bases = [["XZY", "ZZZ"], ["YXX", "ZYZ"]]
-    return [FragmentRun(Circuit(3, 1, shared[:3] + piece + shared[3:]), 30 + 17 * k, [3 * k + 1, 3 * k + 2],
-                        bases[k % 2], ((3, len(piece)),))
+    runs = [FragmentRun((piece,), 30 + 17 * k, [3 * k + 1, 3 * k + 2], bases[k % 2])
             for k, piece in enumerate(inserted)]
+    return circuit, [3], runs, [circuit.with_inserted(3, piece) for piece in inserted]
 
 
 class TestSampleFragments:
@@ -906,9 +908,9 @@ class TestSampleFragments:
     @pytest.mark.parametrize("strategy, steps", [("grouped", 1), ("grouped", 2), ("enumerated", 1),
                                                  ("enumerated", 2)])
     def test_equals_one_sample_bases_call_per_fragment(self, strategy, steps, noise):
-        fragments = trotter_fragments(strategy, steps)
+        circuit, positions, fragments = trotter_fragments(strategy, steps)
         runs = fragment_runs(fragments, [1 + (7 * k) % 19 for k in range(len(fragments))])  # unequal counts
-        out = assert_matches_one_call_per_fragment(runs, noise)
+        out = assert_matches_one_call_per_fragment(circuit, positions, runs, [f.circuit for f in fragments], noise)
         if strategy == "enumerated":  # keep rules see both outcomes of a cut's plain measurement
             clbits = np.concatenate([o.clbits[:, 0] for per_basis, f in zip(out, fragments)
                                      if f.keep_rules for o in per_basis])
@@ -916,46 +918,44 @@ class TestSampleFragments:
 
     @pytest.mark.parametrize("noise", MERGE_NOISE, ids=["noiseless", "default", "heavy"])
     def test_shared_measurements_resets_and_feedback_after_the_cuts(self, noise):
-        fragments = feedback_fragments()
+        circuit, positions, fragments = feedback_fragments()
         assert len(fragments) == 100
         runs = fragment_runs(fragments, [6] * len(fragments))
-        assert all(len(run.insertions) == 2 for run in runs)
-        assert_matches_one_call_per_fragment(runs, noise)
+        assert all(len(run.inserted) == 2 for run in runs)
+        assert_matches_one_call_per_fragment(circuit, positions, runs, [f.circuit for f in fragments], noise)
 
     @pytest.mark.parametrize("noise", [None, NoiseModel(p1=0.2, p2=0.3, reset_error=0.1, readout_flip=0.1)],
                              ids=["noiseless", "noisy"])
     def test_inserted_classically_controlled_gates(self, noise):
         # a step that is both a fragment's own and classically controlled acts on one mask of columns
-        runs = controlled_insertion_runs()
-        for run, per_basis in zip(runs, sample_fragments(runs, noise)):
-            for got, seed, basis in zip(per_basis, run.seeds, run.bases):
-                assert same_shots(got, sample_shots(run.circuit, run.n_shots, seed, basis=basis, noise=noise))
+        for per_basis in assert_matches_one_call_per_fragment(*controlled_insertion_runs(), noise):
+            for got in per_basis:
                 assert len(np.unique(got.clbits[:, 0])) == 2  # the control reads both values
 
     def test_blocks_straddling_fragments(self, monkeypatch):
-        fragments, noise = trotter_fragments("grouped", 2), MERGE_NOISE[2]
+        (circuit, positions, fragments), noise = trotter_fragments("grouped", 2), MERGE_NOISE[2]
         runs = fragment_runs(fragments, [3 + (5 * k) % 11 for k in range(len(fragments))])
-        whole = list(sample_fragments(runs, noise))
+        whole = list(sample_fragments(circuit, positions, runs, noise))
         monkeypatch.setattr(sim, "_BLOCK_AMPLITUDES", 1 << 10)  # 32-shot blocks at n = 4
         assert any((3 * sum(r.n_shots for r in runs[:k])) % 32 for k in range(1, len(runs)))
-        for per_basis, expected in zip(assert_matches_one_call_per_fragment(runs, noise), whole):
+        out = assert_matches_one_call_per_fragment(circuit, positions, runs, [f.circuit for f in fragments], noise)
+        for per_basis, expected in zip(out, whole):
             assert all(same_shots(a, b) for a, b in zip(per_basis, expected))
 
     def test_shared_gates_run_once_for_every_fragment(self, monkeypatch):
         log = column_log(monkeypatch)
-        fragments = trotter_fragments("grouped", 1)
-        list(sample_fragments(fragment_runs(fragments, [50] * len(fragments))))
-        inserted = {f.circuit.gates[f.insertions[0][0]:f.insertions[0][0] + f.insertions[0][1]] for f in fragments}
-        shared = len(fragments[0].circuit.gates) - fragments[0].insertions[0][1]
+        circuit, positions, fragments = trotter_fragments("grouped", 1)
+        list(sample_fragments(circuit, positions, fragment_runs(fragments, [50] * len(fragments))))
+        inserted = {f.inserted[0] for f in fragments}
         unitary = sum(g.kind.value != "MEASURE_Z" for piece in inserted for g in piece)
-        assert len(inserted) == 6 and len(log) == shared + unitary
+        assert len(inserted) == 6 and len(log) == len(circuit.gates) + unitary
         assert max(c for _, c in log) >= 6  # after the cut, one kernel call holds every fragment's columns
 
     def test_block_never_holds_more_columns_than_shots(self, monkeypatch):
         log = column_log(monkeypatch)
         monkeypatch.setattr(sim, "_BLOCK_AMPLITUDES", 1 << 10)  # 32-shot blocks at n = 4
-        fragments = trotter_fragments("enumerated", 2)
-        list(sample_fragments(fragment_runs(fragments, [5] * len(fragments)),
+        circuit, positions, fragments = trotter_fragments("enumerated", 2)
+        list(sample_fragments(circuit, positions, fragment_runs(fragments, [5] * len(fragments)),
                               NoiseModel(p1=0.3, p2=0.3, reset_error=0.3)))
         columns = [c for _, c in log]
         assert max(columns) <= 32
@@ -966,27 +966,40 @@ class TestSampleFragments:
         blocks = []
         real = sim._sample_block
         monkeypatch.setattr(sim, "_sample_block", lambda *args: blocks.append(1) or real(*args))
-        fragments = trotter_fragments("grouped", 1)
-        handed = sample_fragments(fragment_runs(fragments, [8] * len(fragments)))  # 24 entries a run
+        circuit, positions, fragments = trotter_fragments("grouped", 1)
+        handed = sample_fragments(circuit, positions, fragment_runs(fragments, [8] * len(fragments)))  # 24 a run
         next(handed)
         assert len(blocks) == 1  # entries 0..23 are done after the first block
         next(handed)
         assert len(blocks) == 2  # entries 24..47 after the second
 
     def test_validation(self):
-        fragments = trotter_fragments("grouped", 1)
+        circuit, positions, fragments = trotter_fragments("grouped", 1)
         runs = fragment_runs(fragments, [4] * len(fragments))
         with pytest.raises(ValueError, match="at least one fragment"):
-            list(sample_fragments([]))
-        moved = runs[1]._replace(insertions=((runs[1].insertions[0][0] + 1, runs[1].insertions[0][1]),))
-        with pytest.raises(ValueError, match="same insertion positions"):
-            list(sample_fragments([runs[0], moved]))
-        other = runs[1]._replace(circuit=Circuit(4, 1, runs[1].circuit.gates[:-1] + (rx(0.1, 0),)))
-        with pytest.raises(ValueError, match="differ outside their insertions"):
-            list(sample_fragments([runs[0], other]))
-        with pytest.raises(ValueError, match="does not fit"):
-            list(sample_fragments([runs[1]._replace(insertions=((4, 99),))]))
-        with pytest.raises(ValueError, match="same qubits"):
-            list(sample_fragments([runs[0], FragmentRun(Circuit(5), 4, [1], ["ZZZZZ"])]))
+            list(sample_fragments(circuit, positions, []))
         with pytest.raises(ValueError, match="one seed per basis"):
-            list(sample_fragments([runs[0]._replace(seeds=[1])]))
+            list(sample_fragments(circuit, positions, [runs[0]._replace(seeds=[1])]))
+        two = [run._replace(inserted=run.inserted * 2) for run in runs]
+        for bad in ([positions[0], positions[0] - 1], [-1, positions[0]], [positions[0], len(circuit.gates) + 1]):
+            with pytest.raises(ValueError, match="cut positions must ascend"):
+                list(sample_fragments(circuit, bad, two))
+        with pytest.raises(ValueError, match="one inserted gate sequence per cut, got 2 for 1"):
+            list(sample_fragments(circuit, positions, [runs[0], two[1]]))
+        with pytest.raises(ValueError, match="one inserted gate sequence per cut, got 1 for 0"):
+            list(sample_fragments(circuit, [], runs[:1]))
+
+    def test_a_fragment_reads_only_the_bits_it_writes(self):
+        # a classically controlled gate may not read a bit that only another fragment's measurement writes
+        circuit = Circuit(2, 0, (h(0), rx(0.3, 1)))
+        writes = FragmentRun(((measure_z(0, 0),),), 4, [1], ["ZZ"])
+        reads = FragmentRun(((classically_controlled(x(1), 0),),), 4, [2], ["ZZ"])
+        with pytest.raises(InvalidCircuitError, match="no earlier measurement"):
+            list(sample_fragments(circuit, [1], [writes, reads]))
+        with pytest.raises(InvalidCircuitError, match="no earlier measurement"):
+            list(sample_fragments(circuit, [1], [reads]))
+        with pytest.raises(InvalidCircuitError, match="qubit 2 out of range"):
+            list(sample_fragments(circuit, [1], [writes, FragmentRun(((x(2),),), 4, [3], ["ZZ"])]))
+        both = FragmentRun(((measure_z(0, 0), classically_controlled(x(1), 0)),), 4, [2], ["ZZ"])
+        own = circuit.with_inserted(1, both.inserted[0], n_clbits=1)  # the register widened from 0 bits
+        assert_matches_one_call_per_fragment(circuit, [1], [both], [own], None)
