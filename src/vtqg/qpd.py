@@ -22,7 +22,9 @@ over all 10^m term combinations of m cuts is one channel per cut.  Sampling
 fragments use the gates: an enumerated fragment picks one of the ten terms
 per cut and realizes each projector as a measurement with a keep rule; a
 grouped fragment picks one of the six terms whose projector sign is +1 and
-realizes its projector pair as one signed measurement.  A circuit with no
+realizes its projector pair as one signed measurement.  A fragment is the
+gates it inserts at each cut; its whole circuit is spliced only on request,
+and each fragment list is built once per (circuit, cuts).  A circuit with no
 cuts is the one fragment of weight 1 and evaluates as a plain density run.
 Exact evaluation is one list of density runs read by one loop: the distinct
 backward light cones of the observables' wires, when those are estimated
@@ -497,13 +499,13 @@ def run_enumerated_exact(circuit: Circuit, cuts, observables: list[PauliObservab
 
 
 # The most cuts a fragment builder takes: m cuts make 6^m grouped or 10^m
-# enumerated fragment circuits.  Exact mode builds none of them.
+# enumerated fragments.  Exact mode builds none of them.
 MAX_FRAGMENT_CUTS = 4
 
 
 @dataclass(frozen=True)
 class SampledFragment:
-    """One executable sampling fragment.
+    """One executable sampling fragment: `cut_circuit` with the gates `inserted[k]` before its gate `positions[k]`.
 
     `weight` multiplies the (sign-accumulated) shot average.  `keep_rules`
     lists (clbit, required value) pairs: shots whose mid-circuit outcomes
@@ -513,25 +515,36 @@ class SampledFragment:
     """
 
     weight: float
-    circuit: Circuit
+    cut_circuit: Circuit
     keep_rules: tuple[tuple[int, int], ...] = ()
     options: tuple[CutOption, ...] = ()
     inserted: tuple[tuple[Gate, ...], ...] = ()
+    positions: tuple[int, ...] = ()
+
+    @property
+    def circuit(self) -> Circuit:
+        """The fragment as one validated `Circuit`, spliced on each request; with no cuts, the cut circuit itself."""
+        out, n_clbits = self.cut_circuit, max(self.cut_circuit.n_clbits, len(self.inserted))
+        for position, gates in reversed(list(zip(self.positions, self.inserted))):  # back to front keeps positions
+            out = out.with_inserted(position, gates, n_clbits=n_clbits)
+        return out
 
 
-def _build_fragments(circuit: Circuit, cuts, options_for) -> list[SampledFragment]:
+@functools.lru_cache(maxsize=16)
+def _build_fragments(circuit: Circuit, cuts: tuple, grouped: bool) -> tuple[SampledFragment, ...]:
     """One fragment per combination of per-cut options (classical bit k serves cut k).
 
     Every combination is built, so more than MAX_FRAGMENT_CUTS cuts raise
-    ResourceLimitError.
+    ResourceLimitError.  Built once per process for each key; the fragments
+    are frozen and shared.
     """
     cuts = _check_cuts(circuit, cuts)
-    options = [options_for(c.theta) for c in cuts]
+    options = [group_for_sampling(c.theta) if grouped else [CutOption(t) for t in decompose_vrzz(c.theta)]
+               for c in cuts]
     if len(cuts) > MAX_FRAGMENT_CUTS:
         raise ResourceLimitError(f"{len(cuts)} cuts would build {len(options[0])}^{len(cuts)} fragment "
                                  f"circuits (cap is {MAX_FRAGMENT_CUTS} cuts)")
-    n_clbits = max(circuit.n_clbits, len(cuts))
-    fragments = []
+    positions, fragments = tuple(c.position for c in cuts), []
     for combo in itertools.product(*options):
         weight, keeps, per_cut = 1.0, [], []
         for k, (cut, option) in enumerate(zip(cuts, combo)):
@@ -539,26 +552,29 @@ def _build_fragments(circuit: Circuit, cuts, options_for) -> list[SampledFragmen
             weight *= option.weight
             keeps += cut_keeps
             per_cut.append(tuple(gates))
-        out = circuit
-        for cut, gates in reversed(list(zip(cuts, per_cut))):  # back to front keeps positions valid
-            out = out.with_inserted(cut.position, gates, n_clbits=n_clbits)
-        fragments.append(SampledFragment(weight, out, tuple(keeps), combo, tuple(per_cut)))
-    return fragments
+        fragments.append(SampledFragment(weight, circuit, tuple(keeps), combo, tuple(per_cut), positions))
+    return tuple(fragments)
+
+
+def _fragments(circuit: Circuit, cuts, grouped: bool) -> list[SampledFragment]:
+    """A new list of the cached fragments; with no cuts, the one fragment of weight 1 on the caller's own circuit."""
+    cuts = tuple(cuts)
+    return list(_build_fragments(circuit, cuts, grouped)) if cuts else [SampledFragment(1.0, circuit)]
 
 
 def build_grouped_fragments(circuit: Circuit, cuts) -> list[SampledFragment]:
-    """All 6^m signed-instrument circuits for a cut circuit; no cuts gives the circuit itself."""
-    return _build_fragments(circuit, cuts, group_for_sampling)
+    """All 6^m signed-instrument fragments of a cut circuit; no cuts gives the circuit itself."""
+    return _fragments(circuit, cuts, True)
 
 
 def build_enumerated_fragments(circuit: Circuit, cuts) -> list[SampledFragment]:
-    """All 10^m per-term sampling circuits; no cuts gives the circuit itself.
+    """All 10^m per-term sampling fragments; no cuts gives the circuit itself.
 
     Projector sides become plain mid-circuit measurements plus a keep rule;
     rotation and Pauli sides become RZ gates.  Each cross term carries the
     operator-norm scale 8 folded into its weight.
     """
-    return _build_fragments(circuit, cuts, lambda theta: [CutOption(t) for t in decompose_vrzz(theta)])
+    return _fragments(circuit, cuts, False)
 
 
 def op_pair_label(term: QpdTerm) -> str:

@@ -56,10 +56,13 @@ differ from that earlier sampler.
 
 A block draws the uniforms it reads as a table [shots, draws] from the same
 streams and slots: measurement outcomes and noise events up front, in chunks
-of at most 2^n columns, then the Pauli draws of the shots a noise event hit,
-and the readout draws.  Which draws are made, and when, and which shots
-share a column, changes no value, so every shot is the one a draw-by-draw,
-shot-by-shot sampler would give.
+of at most 2^n columns, then in one more call per chunk the Pauli draws of
+every shot a noise event hit, and the readout draws.  Which draws are made,
+and when, and which shots share a column, changes no value, so every shot is
+the one a draw-by-draw, shot-by-shot sampler would give.  `_pass_plan`
+compiles everything of a pass that no seed, shot count or basis changes (the
+merged steps, their kernels and noise strengths) once per process for each
+key.
 """
 
 from __future__ import annotations
@@ -454,11 +457,21 @@ def expectation(state: StateVector | DensityMatrix, obs: PauliObservable) -> flo
 # --- shot sampling -------------------------------------------------------------
 
 _BASIS_ROT = {
-    "Z": None,
+    "Z": np.eye(2, dtype=complex),
     "X": _MAT_1Q[GateKind.H],
     # Rz(-pi/2) then H: maps the Y eigenbasis onto the Z basis.
     "Y": _MAT_1Q[GateKind.H] @ np.array([[1, 0], [0, -1j]], dtype=complex),
 }
+
+
+@functools.lru_cache(maxsize=256)
+def _basis_rotation(letters: str) -> np.ndarray:
+    """The Kronecker product of each letter's basis rotation, at most four letters (16 x 16); cached, so read-only."""
+    mat = functools.reduce(np.kron, [_BASIS_ROT[ch] for ch in letters], np.ones((1, 1)))
+    mat.flags.writeable = False
+    return mat
+
+
 # Pauli I, X, Y, Z as a flip of the qubit's axis, then a phase on its rows 0 and 1.
 _PAULI_FLIP = np.array([False, True, True, False])
 _PAULI_PHASE = np.array([[1, 1], [1, 1], [-1j, 1j], [1, -1]], dtype=complex)
@@ -522,10 +535,11 @@ def _uniforms(keys: np.ndarray, draws: np.ndarray) -> np.ndarray:
 def _gate_kernel(g: Gate, n: int):
     """A function applying unitary g to every column of a block [2]*n + [columns].
 
-    The gate's matrix or diagonal is built here, once, and reused by every
-    block and basis of a call; a dense gate's kernel (its path and axis
-    orders, see `_matrix_kernel`) is built again on every application, which
-    costs nothing measurable: a block applies each step's kernel at most once.
+    The gate's matrix or diagonal is built here, once for each key of
+    `_pass_plan`, which keeps it for every block, basis and call.  A dense
+    gate's kernel (its path and axis orders, see `_matrix_kernel`) is built
+    again on every application, because the column count varies: a block
+    applies each step's kernel at most once.
     """
     diag = _gate_diagonal(g)
     if diag is not None:
@@ -629,86 +643,100 @@ class FragmentRun(NamedTuple):
     bases: tuple[str, ...]
 
 
-class _Program(NamedTuple):
-    """The steps of a pass: the cut circuit's gates once, then at each cut each distinct inserted sequence once.
+class _Plan(NamedTuple):
+    """A compiled pass: the cut circuit's gates once, then at each cut each distinct inserted sequence once.
 
-    Step i runs gate i of `circuit`.  The draw-slot table gate_index[i, r]
-    is that gate's index in run r's own fragment, whose draw slots it reads
-    there; its last row holds each fragment's length, where the terminal
-    draws start.  group[i] is None for a step every shot takes, or (cut,
-    label) for one that only shots whose run has labels[cut, r] == label
-    take.  splits maps a step to the cut whose groups it starts, where
-    columns split by label.
+    Step i runs gate i of `circuit` through kernels[i] (None for a
+    measurement or reset), and its noise event fires with probability
+    strengths[i].  The draw-slot table gate_index[i, r] is that gate's index
+    in run r's own fragment, whose draw slots it reads there; its last row
+    holds each fragment's length, where the terminal draws start.  group[i]
+    is None for a step every shot takes, or (cut, label) for one that only
+    shots whose run has labels[cut, r] == label take.  splits maps a step to
+    the cut whose groups it starts, where columns split by label.
     """
 
     circuit: Circuit
-    group: list
+    group: tuple
     splits: dict
     labels: np.ndarray
     gate_index: np.ndarray
+    kernels: tuple
+    strengths: tuple
+    readout_flip: float
 
 
-def _fragment_program(circuit: Circuit, positions: list[int], runs: list[FragmentRun]) -> _Program:
-    """Merge the runs' fragments of `circuit`, whose cuts are at `positions`.
+@functools.lru_cache(maxsize=64)
+def _pass_plan(circuit: Circuit, positions: tuple, inserted: tuple, noise) -> _Plan:
+    """The plan of one pass over the fragments of `circuit` that insert inserted[r][k] before its gate positions[k].
 
-    The classical register is the circuit's, widened to the highest bit an
-    inserted gate names.  Each fragment must be a valid `Circuit` on its
-    own: a classically controlled gate may read only bits its own fragment
-    writes first.
+    `noise` is None for a noiseless pass.  The key holds no seed, shot count
+    or basis, so the plan is compiled once per process for each key and
+    serves every call and repetition; it is cached and shared, and its
+    arrays are read-only.  The classical register is the circuit's, widened
+    to the highest bit an inserted gate names.  Each fragment must be a
+    valid `Circuit` on its own: a classically controlled gate may read only
+    bits its own fragment writes first.
     """
-    named = [g.clbit for run in runs for piece in run.inserted for g in piece if g.clbit is not None]
+    named = [g.clbit for pieces in inserted for piece in pieces for g in piece if g.clbit is not None]
     n_clbits = max(circuit.n_clbits, 1 + max(named, default=-1))
     steps, group, splits, gate_index = [], [], {}, []
-    offset = np.zeros(len(runs), dtype=np.intp)  # the gates each run inserted at the cuts passed so far
+    offset = np.zeros(len(inserted), dtype=np.intp)  # the gates each run inserted at the cuts passed so far
 
     def add(gates, first_index, tag):
         steps.extend(gates)
         group.extend([tag] * len(gates))
         gate_index.extend(offset + j for j in range(first_index, first_index + len(gates)))
 
-    labels = np.zeros((len(positions), len(runs)), dtype=np.intp)
+    labels = np.zeros((len(positions), len(inserted)), dtype=np.intp)
     done = 0
     for k, p in enumerate(positions):
         add(circuit.gates[done:p], done, None)
         distinct = {}
-        for r, run in enumerate(runs):
-            labels[k, r] = distinct.setdefault(run.inserted[k], len(distinct))
+        for r, pieces in enumerate(inserted):
+            labels[k, r] = distinct.setdefault(pieces[k], len(distinct))
         if len(distinct) > 1:
             splits[len(steps)] = k
         for piece, label in distinct.items():
             add(piece, p, (k, label) if len(distinct) > 1 else None)
-        offset = offset + [len(run.inserted[k]) for run in runs]
+        offset = offset + [len(pieces[k]) for pieces in inserted]
         done = p
     add(circuit.gates[done:], done, None)
     for own in labels.T.tolist():  # each fragment's own circuit, which raises if it is not valid
         gates = [g for g, tag in zip(steps, group) if tag is None or own[tag[0]] == tag[1]]
         Circuit(circuit.n_qubits, n_clbits, gates)
     merged = Circuit(circuit.n_qubits, n_clbits, steps)
-    return _Program(merged, group, splits, labels, np.array([*gate_index, offset + len(circuit.gates)]))
+    gate_index = np.array([*gate_index, offset + len(circuit.gates)])
+    labels.flags.writeable = gate_index.flags.writeable = False
+    strengths = tuple(0.0 if noise is None else noise.strength_for(g) for g in steps)
+    return _Plan(merged, tuple(group), splits, labels, gate_index, tuple(_shot_kernels(merged)), strengths,
+                 0.0 if noise is None else noise.readout_flip)
 
 
-def _draw_chunk(program: _Program, keys: np.ndarray, run: np.ndarray, strengths, present, start: int):
-    """The draw table [shots, draws] of the steps from `start` on, drawn before they run.
+def _draw_chunk(plan: _Plan, keys: np.ndarray, run: np.ndarray, present, start: int):
+    """The draws of the steps from `start` on, made before they run.
 
     keys [shots] are the shots' stream keys, run [shots] their runs, and
     `present` the groups with a shot in the block; a step of any other group
     draws nothing.  A measurement or reset reads its outcome slot and a step
     of strength > 0 its event slot, at the step's gate index in each shot's
-    own fragment; Pauli slots are drawn later, for the shots an event hit.
-    The table takes steps until it would pass 2^n columns, so it is never
-    wider than the state.  Returns (table, the column of each step's outcome
-    draw, for each step whose noise event fired on some shot the indices of
-    those shots, and the first step the table does not cover).  Every event
-    column is compared with its step's strength at once, so a step that no
-    shot's noise hit costs only its unitary.
+    own fragment.  The table [shots, draws] takes steps until it would pass
+    2^n columns, so it is never wider than the state.  Every event column is
+    compared with its step's strength at once, and the Pauli slots of every
+    shot an event hit are drawn in one more call, so a step that no shot's
+    noise hit costs only its unitary.  Returns (table, the column of each
+    step's outcome draw, for each step whose event drew a Pauli other than
+    all-I on some shot those shots and their Pauli codes, and the first step
+    the table does not cover).  A code holds the letter (I, X, Y, Z) on the
+    step's k-th qubit in bits 2k and 2k + 1.
     """
-    gates, width = program.circuit.gates, 1 << program.circuit.n_qubits
+    gates, width = plan.circuit.gates, 1 << plan.circuit.n_qubits
     slots, outcome, noisy, stop = [], {}, [], start
     while stop < len(gates):
-        group = program.group[stop]
+        group = plan.group[stop]
         taken = group is None or group in present
         measured = taken and gates[stop].kind in (GateKind.MEASURE_Z, GateKind.RESET)
-        has_noise = taken and strengths[stop] > 0.0
+        has_noise = taken and plan.strengths[stop] > 0.0
         if len(slots) + measured + has_noise > width:
             break
         if measured:
@@ -719,14 +747,19 @@ def _draw_chunk(program: _Program, keys: np.ndarray, run: np.ndarray, strengths,
             slots.append((stop, _SLOT_EVENT))
         stop += 1
     step, slot = np.array(slots, dtype=np.intp).reshape(-1, 2).T
-    u = _uniforms(keys[:, None], (_DRAWS_PER_GATE * program.gate_index[step][:, run] + slot[:, None]).T)
-    hits = u[:, [column for _, column in noisy]] < [strengths[i] for i, _ in noisy]
-    fired = {noisy[j][0]: np.flatnonzero(hits[:, j]) for j in np.flatnonzero(hits.any(axis=0))}
+    u = _uniforms(keys[:, None], (_DRAWS_PER_GATE * plan.gate_index[step][:, run] + slot[:, None]).T)
+    event, column = np.array(noisy, dtype=np.intp).reshape(-1, 2).T
+    j, shot = np.nonzero((u[:, column] < np.array(plan.strengths)[event]).T)  # by step, then by shot
+    k = np.arange(2)
+    draws = _DRAWS_PER_GATE * plan.gate_index[event[j], run[shot], None] + _SLOT_PAULI + k
+    wires = np.array([len(gates[i].qubits) for i in event])[j, None]  # a one-qubit step reads one Pauli slot
+    codes = (((4.0 * _uniforms(keys[shot, None], draws)).astype(np.intp) << (2 * k)) * (k < wires)).sum(axis=1)
+    j, shot, codes = j[codes != 0], shot[codes != 0], codes[codes != 0]  # an all-I draw changes nothing
+    fired = {int(event[t]): (shot[j == t], codes[j == t]) for t in np.unique(j)}
     return u, outcome, fired, stop
 
 
-def _sample_block(program: _Program, kernels, strengths, keys: np.ndarray, run: np.ndarray,
-                  which: np.ndarray, bases, readout_flip: float):
+def _sample_block(plan: _Plan, keys: np.ndarray, run: np.ndarray, which: np.ndarray, bases):
     """Advance a block of shots together; shots with the same history share one state column.
 
     keys [shots] are the shots' stream keys, run [shots] the index of each
@@ -745,9 +778,9 @@ def _sample_block(program: _Program, kernels, strengths, keys: np.ndarray, run: 
     covers.  A shot reads the draw slots of each step's gate index in its
     own fragment.  Returns bits, clbits and sign, one row per shot.
     """
-    circuit = program.circuit
+    circuit = plan.circuit
     n, shots = circuit.n_qubits, len(keys)
-    member = program.labels[:, run]  # [cuts, shots]: each shot's label at each cut
+    member = plan.labels[:, run]  # [cuts, shots]: each shot's label at each cut
     present = {(cut, int(label)) for cut, labels in enumerate(member) for label in np.unique(labels)}
     psi = np.zeros([2] * n + [1], dtype=complex)
     psi[(0,) * n] = 1.0
@@ -758,28 +791,29 @@ def _sample_block(program: _Program, kernels, strengths, keys: np.ndarray, run: 
     stop = 0
     for i, g in enumerate(circuit.gates):
         if i == stop:
-            u, outcome_at, fired, stop = _draw_chunk(program, keys, run, strengths, present, i)
-        cut = program.splits.get(i)
+            u, outcome_at, fired, stop = _draw_chunk(plan, keys, run, present, i)
+        cut = plan.splits.get(i)
         if cut is not None:  # label 0 keeps its columns; every other label moves to columns of its own
             moved = np.flatnonzero(member[cut])
             if moved.size:
                 col, kept, labels, psi, clbits, sign, cut_label = _split(
                     col, moved, member[cut, moved], int(member[cut].max()) + 1, psi, clbits, sign, cut_label)
                 cut_label[kept:, cut] = labels
-        group = program.group[i]
+        group = plan.group[i]
         if group is not None and group not in present:
             continue
-        # the columns step i acts on: its group's cut label matches, and a controlled step's bit reads 1
-        act = np.ones(len(sign), dtype=bool) if group is None else cut_label[:, group[0]] == group[1]
+        # the columns step i acts on, None for all: its group's cut label matches, and a controlled step's bit reads 1
+        act = None if group is None else cut_label[:, group[0]] == group[1]
         if g.kind == GateKind.CLASSICALLY_CONTROLLED:
-            act &= clbits[:, g.clbit] == 1
-        hit = fired.get(i)
-        if hit is not None:
-            hit = hit[act[col[hit]]]  # before a measurement splits the columns `act` names
-        if kernels[i] is None:  # a measurement or reset
+            act = (clbits[:, g.clbit] == 1) & (True if act is None else act)
+        hit, codes = fired.get(i, (None, None))
+        if hit is not None and act is not None:  # the shots in columns the step acts on, before a measurement splits
+            on = act[col[hit]]
+            hit, codes = hit[on], codes[on]
+        if plan.kernels[i] is None:  # a measurement or reset
             q = g.qubits[0]
             p1 = _one_probability(psi, q)
-            rows = np.flatnonzero(act[col])
+            rows = np.arange(shots) if act is None else np.flatnonzero(act[col])
             outcome = u[rows, outcome_at[i]] < p1[col[rows]]
             col, kept, labels, psi, clbits, sign, cut_label, p1 = _split(
                 col, rows, outcome, 2, psi, clbits, sign, cut_label, p1)
@@ -789,42 +823,35 @@ def _sample_block(program: _Program, kernels, strengths, keys: np.ndarray, run: 
             if g.signed:
                 sign[kept + np.flatnonzero(labels)] *= -1
         else:
-            psi = kernels[i](psi) if act.all() else np.where(act, kernels[i](psi), psi)
+            psi = plan.kernels[i](psi) if act is None or act.all() else np.where(act, plan.kernels[i](psi), psi)
         if hit is not None and hit.size:
-            k = np.arange(len(g.qubits))
-            draws = _DRAWS_PER_GATE * program.gate_index[i, run[hit], None] + _SLOT_PAULI + k
-            paulis = _uniforms(keys[hit, None], draws)
-            codes = ((4.0 * paulis).astype(np.intp) << (2 * k)).sum(axis=1)
-            moved = codes != 0  # an all-I draw leaves the state as it was
-            if moved.any():
-                col, kept, labels, psi, clbits, sign, cut_label = _split(
-                    col, hit[moved], codes[moved], _PAULI_LABELS, psi, clbits, sign, cut_label)
-                psi[..., kept:] = _apply_paulis(psi[..., kept:], g.qubits, labels)
-    terminal = _DRAWS_PER_GATE * program.gate_index[-1, run]  # a run's terminal draws follow its last gate
+            col, kept, labels, psi, clbits, sign, cut_label = _split(
+                col, hit, codes, _PAULI_LABELS, psi, clbits, sign, cut_label)
+            psi[..., kept:] = _apply_paulis(psi[..., kept:], g.qubits, labels)
+    terminal = _DRAWS_PER_GATE * plan.gate_index[-1, run]  # a run's terminal draws follow its last gate
     u_index = _uniforms(keys, terminal + _SLOT_INDEX)
-    index = np.empty(shots, dtype=np.intp)
-    for b, basis in enumerate(bases):
-        rows = np.flatnonzero(which == b)
-        if not rows.size:
-            continue
-        used, pos = np.unique(col[rows], return_inverse=True)
-        phi = np.take(psi, used, axis=-1)
-        for q, ch in enumerate(basis):
-            if _BASIS_ROT[ch] is not None:
-                phi = _apply_matrix(phi, _BASIS_ROT[ch], (q,))
-        cum = np.cumsum((phi.real**2 + phi.imag**2).reshape(-1, len(used)), axis=0)
-        target = u_index[rows] * cum[-1, pos]
-        # Each column of cum is non-decreasing, so its entries <= target are counted in two
-        # passes: whole blocks of `width` entries, then entries of the block that holds the end.
-        width = 1 << (n // 2)
-        start = np.count_nonzero(cum[width - 1::width, pos] <= target, axis=0)
-        start = np.minimum(start, (2**n // width) - 1) * width
-        found = start + np.count_nonzero(cum[start + np.arange(width)[:, None], pos] <= target, axis=0)
-        index[rows] = np.minimum(found, 2**n - 1)
+    # one column per distinct (basis, column) pair, basis by basis, each basis turning its own columns
+    used, pos = np.unique(which * len(sign) + col, return_inverse=True)
+    phi = np.take(psi, used % len(sign), axis=-1)
+    ends = np.searchsorted(used // len(sign), np.arange(len(bases) + 1))
+    for basis, first, end in zip(bases, ends, ends[1:]):
+        for q in range(0, n, 4):  # each group of up to four qubits turned by one Kronecker-product matrix
+            if first < end and basis[q:q + 4].strip("Z"):
+                rotation, axes = _basis_rotation(basis[q:q + 4]), tuple(range(q, min(q + 4, n)))
+                phi[..., first:end] = _apply_matrix(phi[..., first:end], rotation, axes)
+    cum = np.cumsum((phi.real**2 + phi.imag**2).reshape(-1, len(used)), axis=0)
+    target = u_index * cum[-1, pos]
+    # Each column of cum is non-decreasing, so its entries <= target are counted in two
+    # passes: whole blocks of `width` entries, then entries of the block that holds the end.
+    width = 1 << (n // 2)
+    start = np.count_nonzero(cum[width - 1::width, pos] <= target, axis=0)
+    start = np.minimum(start, (2**n // width) - 1) * width
+    found = start + np.count_nonzero(cum[start + np.arange(width)[:, None], pos] <= target, axis=0)
+    index = np.minimum(found, 2**n - 1)
     bits = ((index[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
-    if readout_flip > 0.0:
+    if plan.readout_flip > 0.0:
         draws = terminal[:, None] + _SLOT_FLIP + np.arange(n)
-        bits ^= (_uniforms(keys[:, None], draws) < readout_flip).astype(np.uint8)
+        bits ^= (_uniforms(keys[:, None], draws) < plan.readout_flip).astype(np.uint8)
     return bits, clbits[col], sign[col]
 
 
@@ -878,9 +905,10 @@ def sample_fragments(circuit: Circuit, positions, runs, noise=None):
     state columns through the circuit's gates, at each cut the columns split
     by the gates their runs insert there, and each inserted sequence acts
     only on its own columns.  A shot reads its draws from its own
-    fragment's gate slots.  Each step's operator is built once for the
-    pass, and a block's shots are handed out as their runs finish, so
-    memory stays bounded at any number of runs.
+    fragment's gate slots.  The steps, their operators and noise strengths
+    come from `_pass_plan`, compiled once per process for each (circuit,
+    positions, inserted gates, noise model), and a block's shots are handed
+    out as their runs finish, so memory stays bounded at any number of runs.
     """
     if circuit.n_qubits > STATEVECTOR_QUBIT_CAP:  # every column holds 2^n amplitudes
         raise ResourceLimitError(f"{circuit.n_qubits} qubits exceeds statevector cap {STATEVECTOR_QUBIT_CAP}")
@@ -890,13 +918,8 @@ def sample_fragments(circuit: Circuit, positions, runs, noise=None):
     runs = [_checked_run(*run, circuit.n_qubits, len(positions)) for run in runs]
     if not runs:
         raise ValueError("need at least one fragment")
-    program = _fragment_program(circuit, positions, runs)
-    circuit = program.circuit
-    if noise is None or getattr(noise, "is_zero", False):
-        strengths, readout_flip = [0.0] * len(circuit.gates), 0.0
-    else:
-        strengths, readout_flip = [noise.strength_for(g) for g in circuit.gates], noise.readout_flip
-    kernels = _shot_kernels(circuit)
+    noise = None if noise is None or getattr(noise, "is_zero", False) else noise
+    plan = _pass_plan(circuit, tuple(positions), tuple(run.inserted for run in runs), noise)
     bases = list(dict.fromkeys(basis for run in runs for basis in run.bases))
     pair_run = np.array([r for r, run in enumerate(runs) for _ in run.seeds])
     pair_basis = np.array([bases.index(basis) for run in runs for basis in run.bases])
@@ -912,8 +935,7 @@ def sample_fragments(circuit: Circuit, positions, runs, noise=None):
         pair = np.searchsorted(ends, entry, side="right")
         shot = (entry - ends[pair] + pair_shots[pair]).astype(np.uint64)
         keys = _mix64(seed_keys[pair] ^ _mix64(shot * _GOLDEN))
-        part = _sample_block(program, kernels, strengths, keys, pair_run[pair], pair_basis[pair], bases,
-                             readout_flip)
+        part = _sample_block(plan, keys, pair_run[pair], pair_basis[pair], bases)
         pending = part if pending is None else [np.concatenate(c) for c in zip(pending, part)]
         while r < len(runs) and first + len(runs[r].seeds) * runs[r].n_shots <= stop:
             m, count = runs[r].n_shots, len(runs[r].seeds)

@@ -416,6 +416,16 @@ class TestFragmentPrograms:
                 gates[cut.position:cut.position] = piece
             assert tuple(gates) == frag.circuit.gates
 
+    @pytest.mark.parametrize("builder", [build_grouped_fragments, build_enumerated_fragments])
+    def test_fragments_are_built_once_per_key_and_handed_out_in_new_lists(self, builder):
+        qpd._build_fragments.cache_clear()
+        build = build_trotter_circuit(TfimParams(4, 0.786, 0.787, 0.5, 1), "vtqg")
+        first = builder(build.circuit, build.cuts)
+        again = builder(build_trotter_circuit(TfimParams(4, 0.786, 0.787, 0.5, 1), "vtqg").circuit, build.cuts)
+        assert again is not first and all(a is b for a, b in zip(first, again, strict=True))
+        info = qpd._build_fragments.cache_info()
+        assert info.hits == 1 and info.misses == 1
+
     def test_cut_validation(self):
         c = Circuit(2, 0, (rx(0.1, 0),))
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import math
@@ -752,8 +753,17 @@ def keep_rule_fragment():
     return Circuit(4, frag.circuit.n_clbits, frag.circuit.gates + tail)
 
 
+def empty_plan_cache(monkeypatch):
+    """An empty `sim._pass_plan` cache for one test, so a spy on what a plan builds sees every build.
+
+    The process-wide cache comes back after the test, without the plans compiled under the spy.
+    """
+    monkeypatch.setattr(sim, "_pass_plan", functools.lru_cache(maxsize=64)(sim._pass_plan.__wrapped__))
+
+
 def column_log(monkeypatch):
     """(gate index, columns in the block) at every unitary gate the sampler applies."""
+    empty_plan_cache(monkeypatch)
     log = []
     real = sim._shot_kernels
 
@@ -823,7 +833,8 @@ class TestSampleBases:
         assert max(columns) <= 16
         assert max(columns) > 8  # heavy noise sends most shots down histories of their own
 
-    def test_gate_operators_are_built_once_per_call(self, monkeypatch):
+    def test_gate_operators_are_built_once_per_key(self, monkeypatch):
+        empty_plan_cache(monkeypatch)
         built = []
         real = sim.gate_matrix
         monkeypatch.setattr(sim, "gate_matrix", lambda g: built.append(g) or real(g))
@@ -847,6 +858,66 @@ class TestSampleBases:
             sample_pairs(c, 0, [1], ["XX"])
         with pytest.raises(ResourceLimitError):
             sample_pairs(Circuit(17), 1, [0], ["Z" * 17])
+
+
+class TestPassPlan:
+    """`sample_fragments` compiles each (circuit, cuts, inserted gates, noise) key once per process."""
+
+    def runs(self, fragments, seed):
+        n = fragments[0].cut_circuit.n_qubits
+        bases = ["X" * n, ("ZYX" * n)[:n], "Z" * n]
+        return [FragmentRun(f.inserted, 9, [seed + 3 * k + j for j in range(3)], bases)
+                for k, f in enumerate(fragments)]
+
+    def test_one_key_compiles_once_for_every_seed(self, monkeypatch):
+        circuit, positions, fragments = trotter_fragments("grouped", 1)
+        noise = NoiseModel(p2=0.3, reset_error=0.05, readout_flip=0.1)
+        fresh = {}
+        for seed in (5, 500):
+            empty_plan_cache(monkeypatch)
+            fresh[seed] = list(sample_fragments(circuit, positions, self.runs(fragments, seed), noise))
+        empty_plan_cache(monkeypatch)
+        built = []
+        real = sim.gate_matrix
+        monkeypatch.setattr(sim, "gate_matrix", lambda g: built.append(g) or real(g))
+        for seed in (5, 500):
+            out = list(sample_fragments(circuit, positions, self.runs(fragments, seed), noise))
+            for per_basis, expected in zip(out, fresh[seed], strict=True):
+                assert all(same_shots(a, b) for a, b in zip(per_basis, expected, strict=True))
+        assert len(built) == sum(g.kind.value in ("RX", "H", "RZX", "CNOT", "SWAP") for g in circuit.gates)
+        info = sim._pass_plan.cache_info()
+        assert info.misses == 1 and info.hits == 1
+
+    def test_another_noise_model_or_other_inserted_gates_compile_a_new_plan(self, monkeypatch):
+        empty_plan_cache(monkeypatch)
+        circuit, positions, fragments = trotter_fragments("grouped", 1)
+        runs = self.runs(fragments, 5)
+        for noise, used in ((NoiseModel(), runs), (NoiseModel(p1=0.01), runs), (NoiseModel(), runs[1:]),
+                            (NoiseModel(), runs), (None, runs), (NoiseModel(p1=0, p2=0), runs)):
+            list(sample_fragments(circuit, positions, used, noise))
+        info = sim._pass_plan.cache_info()
+        assert info.misses == 4 and info.hits == 2  # a zero noise model is the noiseless key
+
+    def test_the_arrays_of_a_cached_plan_are_not_writeable(self):
+        circuit, positions, fragments = trotter_fragments("grouped", 1)
+        plan = sim._pass_plan(circuit, tuple(positions), tuple(f.inserted for f in fragments), NoiseModel())
+        for array in (plan.labels, plan.gate_index, sim._basis_rotation("XYZ")):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1
+
+    def test_basis_rotations_turn_at_most_four_qubits_at_once(self, monkeypatch):
+        shapes = []
+        real = sim._basis_rotation.__wrapped__
+
+        def spy(letters):
+            shapes.append(real(letters).shape)
+            return real(letters)
+
+        monkeypatch.setattr(sim, "_basis_rotation", functools.lru_cache(maxsize=256)(spy))
+        n = sim.STATEVECTOR_QUBIT_CAP
+        shots = sample_shots(Circuit(n, 0, (h(0), rx(0.3, n - 1))), 1, seed=3, basis="XY" * (n // 2))
+        assert shots.bits[0, 0] == 0  # H|0> read in the X basis
+        assert shapes == [(16, 16)]  # four groups of "XYXY", one table
 
 
 def trotter_fragments(strategy, steps):
