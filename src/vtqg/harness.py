@@ -143,12 +143,13 @@ def _stream_seed(seed: int, variant: int, fragment: int, basis: int) -> int:
     return (seed << 64) | (1 << 63) | (variant << 48) | (fragment << 16) | basis
 
 
-def _signed_qubit_means(shots, keep_rules) -> np.ndarray:
-    """Per-qubit mean of sign * (+1/-1 eigenvalue), zeroing shots that fail keep rules."""
-    factor = shots.sign.astype(float)
+def _signed_qubit_means(per_basis, keep_rules) -> np.ndarray:
+    """[basis, qubit] means of sign * (+1/-1 eigenvalue), shots failing keep rules zeroed, added in shot order."""
+    bits, clbits, sign = (np.stack(arrays) for arrays in zip(*((s.bits, s.clbits, s.sign) for s in per_basis)))
+    factor = sign.astype(float)
     for clbit, required in keep_rules:
-        factor = factor * (shots.clbits[:, clbit] == required)
-    return ((1.0 - 2.0 * shots.bits) * factor[:, None]).mean(axis=0)
+        factor = factor * (clbits[..., clbit] == required)
+    return ((1.0 - 2.0 * bits) * factor[..., None]).mean(axis=1)
 
 
 def _execute_exact(build: TrotterBuild, noise: NoiseModel):
@@ -175,12 +176,11 @@ def _execute_sampling(build: TrotterBuild, config: ExperimentConfig, seed_rep: i
             shots = config.shots
         seeds = [_stream_seed(seed_rep, variant_index, k, j) for j in range(3)]
         runs.append(FragmentRun(frag.inserted, shots, seeds, bases))
-    acc = [np.zeros(n) for _ in range(3)]
+    acc = np.zeros((3, n))
     positions = sorted(cut.position for cut in build.cuts)
     for frag, per_basis in zip(fragments, sample_fragments(build.circuit, positions, runs, noise)):
-        for j, outcomes in enumerate(per_basis):
-            acc[j] += frag.weight * _signed_qubit_means(outcomes, frag.keep_rules)
-    return [list(a) for a in acc], len(fragments)
+        acc += frag.weight * _signed_qubit_means(per_basis, frag.keep_rules)
+    return acc.tolist(), len(fragments)
 
 
 def run_experiment(config: ExperimentConfig) -> list[ResultRecord]:

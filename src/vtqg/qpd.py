@@ -16,10 +16,10 @@ measurement, the rotation side as Rz(-a pi/2) (times sqrt(2)).  Collapsing
 each sign quadruple into a signed measurement instrument leaves six executable
 fragments per cut, with quasi-probability 1-norm gamma = 1 + 2|sin(theta)|.
 
-One term table (`_SIDES`) gives each local operator both as a Z-diagonal and
-as gates.  Exact evaluation uses the diagonals and linearity: the weighted sum
-over all 10^m term combinations of m cuts is one channel per cut.  Sampling
-fragments use the gates: an enumerated fragment picks one of the ten terms
+One term table (`_SIDES`) gives each local operator as the gates the sampler
+inserts and a trace scale.  Exact evaluation composes those gates' noiseless
+maps and uses linearity: the weighted sum over all 10^m term combinations of m
+cuts is one channel per cut.  An enumerated fragment picks one of the ten terms
 per cut and realizes each projector as a measurement with a keep rule; a
 grouped fragment picks one of the six terms whose projector sign is +1 and
 realizes its projector pair as one signed measurement.  A fragment is the
@@ -45,8 +45,8 @@ import numpy as np
 
 from .circuit import Circuit, Gate, GateKind, circuit_to_text, measure_z, reset, rz, x
 from .errors import PreconditionError, ResourceLimitError
-from .sim import (DENSITY_QUBIT_CAP, DensityMatrix, PauliObservable, _compile, _DepolarizeOp, _evolve, expectations,
-                  run_density)
+from .sim import (DENSITY_QUBIT_CAP, DensityMatrix, PauliObservable, _compile, _DepolarizeOp, _evolve, _superop,
+                  expectations, run_density)
 
 FAMILY_II = "II"
 FAMILY_ZZ = "ZZ"
@@ -61,22 +61,19 @@ CROSS_TERM_SCALE = 8.0
 class _Side(NamedTuple):
     """A local operator A, applied as rho -> A rho A^dag."""
 
-    diagonal: Callable  # alpha -> Z-diagonal of A
     scale: float  # A rho A^dag is `scale` times the channel of the gates below
     realize: Callable  # (qubit, alpha, clbit, signed) -> (gates, keep rule or None)
 
 
-# RZ(pi) conjugates like Pauli Z (its phases cancel in A rho A^dag).  A
-# projector is a Z measurement kept when its outcome reads alpha; signed, the
-# same measurement realizes the projector pair alpha = +1 minus alpha = -1.
+# A = I, Z, I + aZ, I + iaZ.  RZ(pi) conjugates like Pauli Z (its phases cancel
+# in A rho A^dag).  A projector is a Z measurement kept when its outcome reads
+# alpha; signed, one measurement realizes the projector pair a = +1 minus a = -1.
 _SIDES = {
-    "IDENTITY": _Side(lambda a: (1, 1), 1.0, lambda q, a, k, signed: ([], None)),
-    "PAULI_Z": _Side(lambda a: (1, -1), 1.0, lambda q, a, k, signed: ([rz(math.pi, q)], None)),
-    "PROJ_PLUS": _Side(lambda a: (1 + a, 1 - a), 4.0,
-                       lambda q, a, k, signed: ([measure_z(q, k, signed=signed)],
-                                                None if signed else (k, 0 if a == 1 else 1))),
-    "ROT_I_PLUS_IZ": _Side(lambda a: (1 + 1j * a, 1 - 1j * a), 2.0,
-                           lambda q, a, k, signed: ([rz(-a * math.pi / 2, q)], None)),
+    "IDENTITY": _Side(1.0, lambda q, a, k, signed: ([], None)),
+    "PAULI_Z": _Side(1.0, lambda q, a, k, signed: ([rz(math.pi, q)], None)),
+    "PROJ_PLUS": _Side(4.0, lambda q, a, k, signed: ([measure_z(q, k, signed=signed)],
+                                                     None if signed else (k, 0 if a == 1 else 1))),
+    "ROT_I_PLUS_IZ": _Side(2.0, lambda q, a, k, signed: ([rz(-a * math.pi / 2, q)], None)),
 }
 _FAMILY_SIDES = {
     FAMILY_II: ("IDENTITY", "IDENTITY"),
@@ -139,17 +136,22 @@ def decompose_vrzz(theta: float) -> list[QpdTerm]:
 def _cut_superop(weighted_terms) -> np.ndarray:
     """The 16 x 16 superoperator of rho -> sum_k w_k A_k rho A_k^dag over a tuple of (w_k, term_k) pairs.
 
-    Each A_k = diag(d_a) (x) diag(d_b) is Z-diagonal, so the sum scales entry
-    rho[(i_a, i_b), (j_a, j_b)] by one factor, sum_k w_k d_k[i_a, i_b] conj(d_k[j_a, j_b]):
-    the superoperator is the diagonal of those 16 factors.  The result is
-    cached and shared, so no caller may write to it.
+    Each side of A_k is its scale times the noiseless maps `sim._superop` of the
+    gates the sampler inserts for it, composed in order; unsigned, so a
+    projector is the map of its keep rule's outcome.  The two sides' maps,
+    each with row (i, j) and column (i', j'), are joined with row (i_a, i_b,
+    j_a, j_b) and column likewise.  The result is cached and shared, so no
+    caller may write to it.
     """
-    factor = np.zeros(16, dtype=complex)  # index (i_a, i_b, j_a, j_b)
+    total = np.zeros((16, 16), dtype=complex)
     for weight, term in weighted_terms:
-        (side_a, alpha_a), (side_b, alpha_b) = term.sides()
-        d = np.outer(_SIDES[side_a].diagonal(alpha_a), _SIDES[side_b].diagonal(alpha_b)).reshape(-1)
-        factor += np.outer(weight * d, d.conj()).reshape(-1)
-    return np.diag(factor)
+        maps = []
+        for side, alpha in term.sides():
+            gates, keep = _SIDES[side].realize(0, alpha, 0, False)
+            maps.append(functools.reduce(np.matmul, [_superop(g, 0.0, keep[1] if keep else 0) for g in gates[::-1]],
+                                         _SIDES[side].scale * np.eye(4)).reshape(2, 2, 2, 2))
+        total += weight * np.multiply.outer(*maps).transpose(0, 4, 1, 5, 2, 6, 3, 7).reshape(16, 16)
+    return total
 
 
 def reconstruct_channel(terms: list[QpdTerm], rho: DensityMatrix) -> DensityMatrix:

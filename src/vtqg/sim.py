@@ -256,6 +256,13 @@ class PauliObservable:
                 raise ValueError(f"malformed Pauli string {s!r}")
             if not math.isfinite(w):
                 raise ValueError(f"non-finite weight {w}")
+        object.__setattr__(self, "_hash", hash(self.terms))  # once: observables key the reader caches
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):  # rebuilt from its terms, so a copy made in another process hashes there
+        return PauliObservable, (self.terms,)
 
     @property
     def n_qubits(self) -> int:
@@ -472,10 +479,6 @@ def _basis_rotation(letters: str) -> np.ndarray:
     return mat
 
 
-# Pauli I, X, Y, Z as a flip of the qubit's axis, then a phase on its rows 0 and 1.
-_PAULI_FLIP = np.array([False, True, True, False])
-_PAULI_PHASE = np.array([[1, 1], [1, 1], [-1j, 1j], [1, -1]], dtype=complex)
-
 # Amplitudes the sampler holds at once (16 MiB of complex128), a draw counting
 # as one amplitude (its float64 uniform plus the uint64 it is hashed from): a
 # block holds at most one state column of 2^n amplitudes per shot and a
@@ -565,10 +568,7 @@ def _shot_kernels(circuit: Circuit) -> list:
     return kernels
 
 
-_PAULI_LABELS = 16  # labels of a noise split: the Pauli code of a two-qubit event
-
-
-def _split(col: np.ndarray, moved: np.ndarray, label: np.ndarray, span: int, psi: np.ndarray, *per_column):
+def _split(col: np.ndarray, moved: np.ndarray, label: np.ndarray, span: int, psi: np.ndarray, *per_column, paulis=()):
     """Move shots `moved` to one new column per distinct (column, label) pair; labels lie in [0, span).
 
     Every divergence of a block's shots (a cut's label, a measurement or reset outcome, a noise
@@ -576,9 +576,10 @@ def _split(col: np.ndarray, moved: np.ndarray, label: np.ndarray, span: int, psi
     never more columns than shots.  The kept columns come first and the new ones last.  Returns
     (col, kept, labels, psi, *per_column): each shot's new column, the number of kept columns, each
     new column's label, and the state [2]*n + [columns] and each per-column array (columns first),
-    every column a copy of the one it came from.
+    every column a copy of the one it came from; a noise event's new ones times the Paulis their codes name.
     """
-    pairs, inverse = np.unique(col[moved] * span + label, return_inverse=True)
+    keys = col[moved] * span + label
+    pairs, inverse = (keys, np.zeros(1, np.intp)) if len(keys) == 1 else np.unique(keys, return_inverse=True)
     remaining = np.bincount(col)
     remaining -= np.bincount(col[moved], minlength=len(remaining))
     kept = np.flatnonzero(remaining)
@@ -586,8 +587,25 @@ def _split(col: np.ndarray, moved: np.ndarray, label: np.ndarray, span: int, psi
     remap[kept] = np.arange(len(kept))
     col = remap[col]
     col[moved] = len(kept) + inverse
-    parent = np.concatenate([kept, pairs // span])
-    return (col, len(kept), pairs % span, np.take(psi, parent, axis=-1), *(a[parent] for a in per_column))
+    parent, labels = np.concatenate([kept, pairs // span]), pairs % span
+    state = np.take(psi, parent, axis=-1)
+    for j, (p, code) in enumerate(zip(parent[len(kept):].tolist(), labels.tolist()) if paulis else (), len(kept)):
+        state[..., j] = _pauli_kernel(code, paulis, psi.ndim - 1)(psi[..., p])
+    return (col, len(kept), labels, state, *(a[parent] for a in per_column))
+
+
+@functools.lru_cache(maxsize=1024)
+def _pauli_kernel(code: int, qubits: tuple, n: int):
+    """A function applying the Pauli of noise code `code` on `qubits` to one column [2]*n of a block.
+
+    Entry c of P psi is psi[c ^ x] i^n_Y (-1)^|(c ^ x) & z| (`pauli`'s x/z form; I, X, Y, Z have x 0110, z 0011).
+    """
+    xz = [(letter in (1, 2), letter >= 2) for letter in ((code >> 2 * k) & 3 for k in range(len(qubits)))]
+    phase = np.ones([1 + (q in qubits) for q in range(n)], dtype=complex)
+    for q, (x, z) in zip(qubits, xz):  # i^y (-1)^((r ^ x) z) on bit r of qubit q; 1j ** m is exact here
+        phase = phase * np.reshape([1j ** (x * z + 2 * (r ^ x) * z) for r in (0, 1)], [1 + (a == q) for a in range(n)])
+    flips = tuple(q for q, (x, _) in zip(qubits, xz) if x)
+    return lambda column: np.flip(column, flips) * phase
 
 
 def _one_probability(psi: np.ndarray, q: int) -> np.ndarray:
@@ -611,23 +629,6 @@ def _collapse(psi: np.ndarray, q: int, outcome: np.ndarray, p1: np.ndarray, rese
     if reset:
         kept = psi.sum(axis=q)  # the other half is zero
         psi = np.stack([kept, np.zeros_like(kept)], axis=q)
-    return psi
-
-
-def _apply_paulis(psi: np.ndarray, qubits, codes: np.ndarray) -> np.ndarray:
-    """Pauli (codes >> 2k) & 3 (I, X, Y or Z) on the k-th of `qubits`, column by column.
-
-    Each Pauli is a flip of the qubit's axis (X, Y) followed by a phase per
-    row (Y, Z), so every amplitude is moved and multiplied by 1, -1 or ±i.
-    """
-    shape = [1] * psi.ndim
-    shape[-1] = len(codes)
-    for k, q in enumerate(qubits):
-        letter = (codes >> (2 * k)) & 3
-        psi = np.where(_PAULI_FLIP[letter].reshape(shape), np.flip(psi, axis=q), psi)
-        phase_shape = list(shape)
-        phase_shape[q] = 2
-        psi = psi * _PAULI_PHASE[letter].T.reshape(phase_shape)
     return psi
 
 
@@ -825,9 +826,8 @@ def _sample_block(plan: _Plan, keys: np.ndarray, run: np.ndarray, which: np.ndar
         else:
             psi = plan.kernels[i](psi) if act is None or act.all() else np.where(act, plan.kernels[i](psi), psi)
         if hit is not None and hit.size:
-            col, kept, labels, psi, clbits, sign, cut_label = _split(
-                col, hit, codes, _PAULI_LABELS, psi, clbits, sign, cut_label)
-            psi[..., kept:] = _apply_paulis(psi[..., kept:], g.qubits, labels)
+            col, _, _, psi, clbits, sign, cut_label = _split(
+                col, hit, codes, 4 ** len(g.qubits), psi, clbits, sign, cut_label, paulis=g.qubits)
     terminal = _DRAWS_PER_GATE * plan.gate_index[-1, run]  # a run's terminal draws follow its last gate
     u_index = _uniforms(keys, terminal + _SLOT_INDEX)
     # one column per distinct (basis, column) pair, basis by basis, each basis turning its own columns

@@ -39,6 +39,32 @@ def rzz_conjugation(theta, rho):
     return u @ rho @ u.conj().T
 
 
+# Z-diagonal of each side of a decomposition term's operator A, by side name
+# and sign alpha: I, Z, I + alpha Z and I + i alpha Z.
+CUT_SIDE_DIAGONALS = {
+    "IDENTITY": lambda a: (1, 1),
+    "PAULI_Z": lambda a: (1, -1),
+    "PROJ_PLUS": lambda a: (1 + a, 1 - a),
+    "ROT_I_PLUS_IZ": lambda a: (1 + 1j * a, 1 - 1j * a),
+}
+
+
+def cut_superop(weighted_terms):
+    """Closed form of the 16 x 16 map rho -> sum_k w_k A_k rho A_k^dag over (w_k, term_k) pairs.
+
+    Each A_k = diag(d_a) (x) diag(d_b), read from `term.sides()`, is
+    Z-diagonal, so the sum scales entry rho[(i_a, i_b), (j_a, j_b)] by one
+    factor, sum_k w_k d_k[i_a, i_b] conj(d_k[j_a, j_b]): the map is the
+    diagonal of those 16 factors, indexed (i_a, i_b, j_a, j_b).
+    """
+    factor = np.zeros(16, dtype=complex)
+    for weight, term in weighted_terms:
+        (side_a, alpha_a), (side_b, alpha_b) = term.sides()
+        d = np.outer(CUT_SIDE_DIAGONALS[side_a](alpha_a), CUT_SIDE_DIAGONALS[side_b](alpha_b)).reshape(-1)
+        factor += np.outer(weight * d, d.conj()).reshape(-1)
+    return np.diag(factor)
+
+
 def rx_unitary(theta):
     return expm(-1j * theta / 2 * X)
 

@@ -124,6 +124,31 @@ class TestReconstructChannel:
             reconstruct_channel(decompose_vrzz(0.3), DensityMatrix.zero(3))
 
 
+class TestOneCutModel:
+    """Exact mode's cut map is built from the gates the sampler inserts, and equals the closed form."""
+
+    @given(theta=FINITE_ANGLES)
+    @settings(max_examples=50, deadline=None)
+    def test_cut_map_matches_the_closed_form(self, theta):
+        pairs = tuple((t.coefficient, t) for t in decompose_vrzz(theta))
+        for weighted in (pairs, *((pair,) for pair in pairs)):
+            assert np.max(np.abs(qpd._cut_superop(weighted) - oracles.cut_superop(weighted))) < 1e-15
+
+    @pytest.mark.parametrize("theta", [-2.5, -0.787, 0.0, 0.3, 0.787, math.pi / 2, 2.9])
+    def test_grouped_fragments_sum_to_the_cut_map(self, theta):
+        # the zero-noise link between the two modes: each fragment's inserted gates, run on the 16 basis
+        # matrices with signed branches summed, and weighted, add up to the map exact mode applies
+        fragments = build_grouped_fragments(Circuit(2), [CutSite(0, 0, 1, theta)])
+        columns = np.zeros((16, 16), dtype=complex)
+        for index in range(16):
+            basis = DensityMatrix(2, np.eye(16, dtype=complex)[index].reshape(4, 4))
+            for frag in fragments:
+                assert frag.keep_rules == ()
+                columns[:, index] += frag.weight * apply_gates_density(basis, frag.inserted[0]).mat.reshape(-1)
+        expected = qpd._cut_superop(tuple((t.coefficient, t) for t in decompose_vrzz(theta)))
+        assert np.max(np.abs(columns - expected)) < 1e-15
+
+
 def apply_term(term, rho):
     """One term's local operators applied with weight 1 to a 2-qubit density array."""
     return reconstruct_channel([term], DensityMatrix(2, rho))

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -237,6 +238,15 @@ class TestExpectation:
         with pytest.raises(ValueError):
             expectation(StateVector.zero(2), PauliObservable.single(1, 0, "Z"))
 
+    def test_equal_observables_hash_and_compare_equal(self):
+        terms = (("XZI", 0.5), ("IYY", -1.25))
+        a, b = PauliObservable(terms), PauliObservable(tuple((s, w) for s, w in terms))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+        assert PauliObservable(terms[:1]) != a
+        copy = pickle.loads(pickle.dumps(a))
+        assert copy == a and hash(copy) == hash(a) and copy.support == a.support
+
     def test_weighted_sum(self):
         psi = StateVector.zero(2)
         obs = PauliObservable((("ZI", 0.5), ("IZ", 0.25), ("ZZ", -1.0)))
@@ -444,6 +454,27 @@ class TestDepolarizeKernel:
         out = depolarize(DensityMatrix(3, rho), qubits, p).mat
         assert np.max(np.abs(out - textbook)) < 1e-15
         assert np.array_equal(rho, before)
+
+
+class TestNoiseSplit:
+    @pytest.mark.parametrize("qubits", [(1,), (0, 2), (2, 0)])
+    def test_new_columns_are_the_drawn_paulis_times_their_parents(self, qubits):
+        # shot 1 leaves column 0 and shot 3 leaves column 1, each with its own Pauli code
+        rng = np.random.default_rng(23)
+        psi = (rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2))).reshape(2, 2, 2, 2)
+        col, span = np.array([0, 0, 1, 1]), 4 ** len(qubits)
+        letters = [oracles.I2, oracles.X, oracles.Y, oracles.Z]
+        for code in range(span):
+            codes = np.array([code, (code + 5) % span])
+            col_out, kept, labels, out = sim._split(col, np.array([1, 3]), codes, span, psi, paulis=qubits)
+            assert kept == 2 and col_out.tolist() == [0, 2, 1, 3] and labels.tolist() == codes.tolist()
+            assert np.array_equal(out[..., :2], psi)
+            for j, parent in enumerate((0, 1)):
+                op = np.eye(8)
+                for k, q in enumerate(qubits):
+                    op = op @ pauli_on(3, q, letters[(int(codes[j]) >> 2 * k) & 3])
+                expected = op @ psi[..., parent].reshape(-1)
+                assert np.max(np.abs(out[..., 2 + j].reshape(-1) - expected)) == 0.0
 
 
 def same_shots(a, b):
