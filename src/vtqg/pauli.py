@@ -1,4 +1,4 @@
-"""Pauli-string means of a state, each one signed sum over a gather of the state's x-diagonal.
+"""Pauli-string means of a state, each one signed sum over a gather of the state's x-diagonal; Pauli noise on columns.
 
 A Pauli string with x mask x (its X and Y letters), z mask z (its Z and Y
 letters) and n_Y letters Y maps a basis state to
@@ -58,6 +58,26 @@ def _parity(v: np.ndarray) -> np.ndarray:
     for shift in (16, 8, 4, 2, 1):
         v = v ^ (v >> shift)
     return v & 1
+
+
+@functools.lru_cache(maxsize=64)
+def _code_tables(qubits: tuple, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each code's x mask and phase at each b, and each row's bits b on `qubits` of n wires; shared, not to be written.
+
+    Code c puts letter (c >> 2k) & 3 (I X Y Z) on qubit k, bit k of b; its phase at b is i^n_Y (-1)^|(b ^ x) & z|.
+    """
+    k = np.arange(len(qubits))
+    letter, bit = (np.arange(4 ** len(qubits))[:, None] >> 2 * k) & 3, 1 << (n - 1 - np.array(qubits))  # [code, k]
+    x, z, bits = (letter == 1) | (letter == 2), letter >= 2, (np.arange(2 ** len(qubits))[:, None] >> k) & 1
+    power = (x & z).sum(1)[:, None] + 2 * ((bits ^ x[:, None]) & z[:, None]).sum(2)  # [code, b]
+    return (x * bit).sum(1), np.array([1, 1j, -1, -1j])[power % 4], (np.arange(2 ** n)[:, None] & bit > 0) @ (1 << k)
+
+
+def apply_codes(psi: np.ndarray, qubits, codes: np.ndarray) -> np.ndarray:
+    """Column j of a block [2]*n + [columns] times the Pauli of code codes[j]: row c reads row c ^ x, times a phase."""
+    x, phase, local = _code_tables(tuple(qubits), psi.ndim - 1)
+    source = np.arange(len(local))[:, None] ^ x[codes]  # [row, column]
+    return (np.take_along_axis(psi.reshape(len(local), -1), source, 0) * phase[codes][:, local].T).reshape(psi.shape)
 
 
 @functools.lru_cache(maxsize=256)

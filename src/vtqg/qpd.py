@@ -136,12 +136,10 @@ def decompose_vrzz(theta: float) -> list[QpdTerm]:
 def _cut_superop(weighted_terms) -> np.ndarray:
     """The 16 x 16 superoperator of rho -> sum_k w_k A_k rho A_k^dag over a tuple of (w_k, term_k) pairs.
 
-    Each side of A_k is its scale times the noiseless maps `sim._superop` of the
-    gates the sampler inserts for it, composed in order; unsigned, so a
-    projector is the map of its keep rule's outcome.  The two sides' maps,
-    each with row (i, j) and column (i', j'), are joined with row (i_a, i_b,
-    j_a, j_b) and column likewise.  The result is cached and shared, so no
-    caller may write to it.
+    Each side of A_k is its scale times the noiseless maps `sim._superop` of the gates the sampler
+    inserts for it, composed in order; unsigned, so a projector is the map of its keep rule's outcome.
+    The two sides' maps, each with row (i, j) and column (i', j'), join with row (i_a, i_b, j_a, j_b)
+    and column likewise.  The result is cached and shared, so no caller may write to it.
     """
     total = np.zeros((16, 16), dtype=complex)
     for weight, term in weighted_terms:

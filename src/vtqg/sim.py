@@ -184,6 +184,8 @@ def _superop(g: Gate, p: float, outcome: int = 0) -> np.ndarray:
         s = _PROJECT[outcome]
     elif g.kind == GateKind.RESET:
         s = _RESET
+    elif g.kind == GateKind.RZ and (k := g.angle * 2 / math.pi).is_integer():  # RZ(k pi/2): phases (-i)^k, exactly
+        s = np.diag(np.array([1, (1, -1j, -1, 1j)[int(k) % 4], (1, 1j, -1, -1j)[int(k) % 4], 1], dtype=complex))
     else:
         u = gate_matrix(g.inner if g.kind == GateKind.CLASSICALLY_CONTROLLED else g)
         s = np.kron(u, u.conj())
@@ -568,7 +570,7 @@ def _shot_kernels(circuit: Circuit) -> list:
     return kernels
 
 
-def _split(col: np.ndarray, moved: np.ndarray, label: np.ndarray, span: int, psi: np.ndarray, *per_column, paulis=()):
+def _split(col: np.ndarray, moved: np.ndarray, label: np.ndarray, span: int, psi: np.ndarray, *per_column):
     """Move shots `moved` to one new column per distinct (column, label) pair; labels lie in [0, span).
 
     Every divergence of a block's shots (a cut's label, a measurement or reset outcome, a noise
@@ -576,10 +578,9 @@ def _split(col: np.ndarray, moved: np.ndarray, label: np.ndarray, span: int, psi
     never more columns than shots.  The kept columns come first and the new ones last.  Returns
     (col, kept, labels, psi, *per_column): each shot's new column, the number of kept columns, each
     new column's label, and the state [2]*n + [columns] and each per-column array (columns first),
-    every column a copy of the one it came from; a noise event's new ones times the Paulis their codes name.
+    every column a copy of the one it came from.
     """
-    keys = col[moved] * span + label
-    pairs, inverse = (keys, np.zeros(1, np.intp)) if len(keys) == 1 else np.unique(keys, return_inverse=True)
+    pairs, inverse = np.unique(col[moved] * span + label, return_inverse=True)
     remaining = np.bincount(col)
     remaining -= np.bincount(col[moved], minlength=len(remaining))
     kept = np.flatnonzero(remaining)
@@ -587,25 +588,8 @@ def _split(col: np.ndarray, moved: np.ndarray, label: np.ndarray, span: int, psi
     remap[kept] = np.arange(len(kept))
     col = remap[col]
     col[moved] = len(kept) + inverse
-    parent, labels = np.concatenate([kept, pairs // span]), pairs % span
-    state = np.take(psi, parent, axis=-1)
-    for j, (p, code) in enumerate(zip(parent[len(kept):].tolist(), labels.tolist()) if paulis else (), len(kept)):
-        state[..., j] = _pauli_kernel(code, paulis, psi.ndim - 1)(psi[..., p])
-    return (col, len(kept), labels, state, *(a[parent] for a in per_column))
-
-
-@functools.lru_cache(maxsize=1024)
-def _pauli_kernel(code: int, qubits: tuple, n: int):
-    """A function applying the Pauli of noise code `code` on `qubits` to one column [2]*n of a block.
-
-    Entry c of P psi is psi[c ^ x] i^n_Y (-1)^|(c ^ x) & z| (`pauli`'s x/z form; I, X, Y, Z have x 0110, z 0011).
-    """
-    xz = [(letter in (1, 2), letter >= 2) for letter in ((code >> 2 * k) & 3 for k in range(len(qubits)))]
-    phase = np.ones([1 + (q in qubits) for q in range(n)], dtype=complex)
-    for q, (x, z) in zip(qubits, xz):  # i^y (-1)^((r ^ x) z) on bit r of qubit q; 1j ** m is exact here
-        phase = phase * np.reshape([1j ** (x * z + 2 * (r ^ x) * z) for r in (0, 1)], [1 + (a == q) for a in range(n)])
-    flips = tuple(q for q, (x, _) in zip(qubits, xz) if x)
-    return lambda column: np.flip(column, flips) * phase
+    parent = np.concatenate([kept, pairs // span])
+    return (col, len(kept), pairs % span, np.take(psi, parent, axis=-1), *(a[parent] for a in per_column))
 
 
 def _one_probability(psi: np.ndarray, q: int) -> np.ndarray:
@@ -826,8 +810,9 @@ def _sample_block(plan: _Plan, keys: np.ndarray, run: np.ndarray, which: np.ndar
         else:
             psi = plan.kernels[i](psi) if act is None or act.all() else np.where(act, plan.kernels[i](psi), psi)
         if hit is not None and hit.size:
-            col, _, _, psi, clbits, sign, cut_label = _split(
-                col, hit, codes, 4 ** len(g.qubits), psi, clbits, sign, cut_label, paulis=g.qubits)
+            col, kept, labels, psi, clbits, sign, cut_label = _split(
+                col, hit, codes, 4 ** len(g.qubits), psi, clbits, sign, cut_label)
+            psi[..., kept:] = pauli.apply_codes(psi[..., kept:], g.qubits, labels)
     terminal = _DRAWS_PER_GATE * plan.gate_index[-1, run]  # a run's terminal draws follow its last gate
     u_index = _uniforms(keys, terminal + _SLOT_INDEX)
     # one column per distinct (basis, column) pair, basis by basis, each basis turning its own columns

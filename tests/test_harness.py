@@ -468,16 +468,14 @@ def ring(n, steps=1):
 # moved, were recorded when every Pauli mean became one signed sum over a
 # gather of the state's x-diagonal (every cell within 1.2e-16 of the marginal
 # reads before it): light cones (n = 8) and the full run with two cuts (n = 6)
-# must keep every bit.  The two-cut digest was recorded again when each cut map
-# became the composed maps of the gates the sampler inserts (vtqg_pet's mag, sx
-# and sy moved, by at most 5.6e-17).
+# must keep every bit.
 PINNED_CSVS = {
     "exact_n8": (dict(params=ring(8), repetitions=2, seed=1),
                  "34e9a32e2f1f7a0c4efba6c2c2cf47d7682cb164acbf2eb2059f54e86ca4b41d"),
     "exact_n6_two_cuts_reset_readout": (
         dict(params=ring(6, 2), variants=("vtqg", "vtqg_pet"), repetitions=1,
              noise=NoiseModel(reset_error=0.01, readout_flip=0.05)),
-        "597bf4171ed4d511253386e46296e0a37feba61f04594e5c1ce2303cc3d762dc"),
+        "b9fe41191dfd1456c63c25f1742feeffa090a2de2951d58931a8df661a868db2"),
     "grouped_per_fragment_n6": (
         dict(params=ring(6), mode="sampling", shots=64, repetitions=2, seed=11),
         "a0912830665eb8fd87073195f0a606676954b65eda5ab2285b342a4d8b93edf9"),

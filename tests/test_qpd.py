@@ -134,20 +134,6 @@ class TestOneCutModel:
         for weighted in (pairs, *((pair,) for pair in pairs)):
             assert np.max(np.abs(qpd._cut_superop(weighted) - oracles.cut_superop(weighted))) < 1e-15
 
-    @pytest.mark.parametrize("theta", [-2.5, -0.787, 0.0, 0.3, 0.787, math.pi / 2, 2.9])
-    def test_grouped_fragments_sum_to_the_cut_map(self, theta):
-        # the zero-noise link between the two modes: each fragment's inserted gates, run on the 16 basis
-        # matrices with signed branches summed, and weighted, add up to the map exact mode applies
-        fragments = build_grouped_fragments(Circuit(2), [CutSite(0, 0, 1, theta)])
-        columns = np.zeros((16, 16), dtype=complex)
-        for index in range(16):
-            basis = DensityMatrix(2, np.eye(16, dtype=complex)[index].reshape(4, 4))
-            for frag in fragments:
-                assert frag.keep_rules == ()
-                columns[:, index] += frag.weight * apply_gates_density(basis, frag.inserted[0]).mat.reshape(-1)
-        expected = qpd._cut_superop(tuple((t.coefficient, t) for t in decompose_vrzz(theta)))
-        assert np.max(np.abs(columns - expected)) < 1e-15
-
 
 def apply_term(term, rho):
     """One term's local operators applied with weight 1 to a 2-qubit density array."""
@@ -282,18 +268,20 @@ class TestGrouping:
             o.term.coefficient * scale for o, scale in zip(options, (1.0, 1.0, 8.0, 8.0, 8.0, 8.0))]
 
     def test_grouped_channel_is_exact(self):
-        # weight-summed signed instruments reproduce the channel on density matrices
-        rng = np.random.default_rng(22)
-        theta = 0.787
-        groups = group_for_sampling(theta)
-        rho = oracles.random_density(2, rng)
-        total = np.zeros((4, 4), dtype=complex)
-        for g in groups:
-            gates, keeps = g.realize(0, 1, 0)
-            assert keeps == []
-            out = apply_gates_density(DensityMatrix(2, rho), gates)
-            total += g.weight * out.mat
-        assert np.linalg.norm(total - oracles.rzz_conjugation(theta, rho)) < 1e-10
+        # weight-summed signed instruments reproduce the channel on the 16 basis density matrices, and are,
+        # column by column, the cut map exact mode applies: the zero-noise link between the two modes
+        for theta in (-2.5, -0.787, 0.0, 0.3, 0.787, math.pi / 2, 2.9):
+            columns = np.zeros((16, 16), dtype=complex)
+            for index in range(16):
+                basis = np.eye(16, dtype=complex)[index].reshape(4, 4)
+                for g in group_for_sampling(theta):
+                    gates, keeps = g.realize(0, 1, 0)
+                    assert keeps == []
+                    columns[:, index] += g.weight * apply_gates_density(DensityMatrix(2, basis), gates).mat.reshape(-1)
+                channel = oracles.rzz_conjugation(theta, basis)
+                assert np.linalg.norm(columns[:, index].reshape(4, 4) - channel) < 1e-10
+            cut_map = qpd._cut_superop(tuple((t.coefficient, t) for t in decompose_vrzz(theta)))
+            assert np.max(np.abs(columns - cut_map)) < 1e-15
 
     def test_sampled_zz_estimate_matches_exact(self):
         # product state, grouped instruments, 1e5 shots: <Z(x)Z> within 4 sigma

@@ -388,6 +388,14 @@ class TestApplyMatrix:
         assert np.max(np.abs(out.reshape(2**n, columns) - dense @ block.reshape(2**n, columns))) < 1e-13
         assert np.array_equal(block, before)
 
+    def test_rz_map_is_exact_at_quarter_turns(self):
+        # RZ(k pi/2) conjugates by the phases (-i)^k and i^k, entry for entry; floating trig would leave residues
+        for k in range(-5, 6):
+            u = sim.gate_matrix(rz(k * math.pi / 2, 0))
+            s = sim._superop(rz(k * math.pi / 2, 0), 0.0)
+            assert s.dtype == complex and np.array_equal(s, np.diag([1, (-1j) ** (k % 4), 1j ** (k % 4), 1]))
+            assert np.max(np.abs(s - np.kron(u, u.conj()))) < 1e-15
+
     @pytest.mark.parametrize("n, qubits", [(1, (0,)), (2, (0, 1)), (3, (1,)), (3, (0, 2)), (3, (2, 0))])
     def test_superop_conjugates_rows_and_columns(self, n, qubits):
         k = len(qubits)
@@ -456,25 +464,20 @@ class TestDepolarizeKernel:
         assert np.array_equal(rho, before)
 
 
-class TestNoiseSplit:
+class TestPauliNoiseColumns:
     @pytest.mark.parametrize("qubits", [(1,), (0, 2), (2, 0)])
-    def test_new_columns_are_the_drawn_paulis_times_their_parents(self, qubits):
-        # shot 1 leaves column 0 and shot 3 leaves column 1, each with its own Pauli code
+    def test_each_column_takes_the_pauli_of_its_code(self, qubits):
+        # one column per code, so every Pauli on these qubits is applied once, as one gather
+        span = 4 ** len(qubits)
         rng = np.random.default_rng(23)
-        psi = (rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2))).reshape(2, 2, 2, 2)
-        col, span = np.array([0, 0, 1, 1]), 4 ** len(qubits)
+        block = (rng.normal(size=(8, span)) + 1j * rng.normal(size=(8, span))).reshape(2, 2, 2, span)
+        out = pauli.apply_codes(block, qubits, np.arange(span)).reshape(8, span)
         letters = [oracles.I2, oracles.X, oracles.Y, oracles.Z]
         for code in range(span):
-            codes = np.array([code, (code + 5) % span])
-            col_out, kept, labels, out = sim._split(col, np.array([1, 3]), codes, span, psi, paulis=qubits)
-            assert kept == 2 and col_out.tolist() == [0, 2, 1, 3] and labels.tolist() == codes.tolist()
-            assert np.array_equal(out[..., :2], psi)
-            for j, parent in enumerate((0, 1)):
-                op = np.eye(8)
-                for k, q in enumerate(qubits):
-                    op = op @ pauli_on(3, q, letters[(int(codes[j]) >> 2 * k) & 3])
-                expected = op @ psi[..., parent].reshape(-1)
-                assert np.max(np.abs(out[..., 2 + j].reshape(-1) - expected)) == 0.0
+            op = np.eye(8)
+            for k, q in enumerate(qubits):
+                op = op @ pauli_on(3, q, letters[(code >> 2 * k) & 3])
+            assert np.max(np.abs(out[:, code] - op @ block.reshape(8, span)[:, code])) == 0.0
 
 
 def same_shots(a, b):
